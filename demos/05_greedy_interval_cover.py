@@ -34,7 +34,7 @@ print(f"  naive target 1/K = {1 / K:.4f}; "
 print(f"  per-step contraction verified: {cs.greedy_step_invariant(trace)}")
 
 print("\nTiny exact run (window = full period, every count exact):")
-period = cs.lcm_guarded(cs.ModuliSet.from_iterable(range(3, 7)), 64)
+period = cs.lcm_guarded(cs.ModuliSet.from_iterable(range(3, 7)))
 small = cs.greedy_cover(2, 3, seed=5, window=period)
 for step in small.steps:
     print(f"  j={step.j}: divisors {list(step.divisors)}, f={step.f}, "

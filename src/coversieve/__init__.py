@@ -32,7 +32,6 @@ from .construct import (
     prime_product_moduli,
 )
 from .core import (
-    ExactRational,
     Factorization,
     GuardExceeded,
     ModuliSet,
@@ -76,7 +75,6 @@ from .density import (
 )
 from .stats import (
     MomentReport,
-    RandomModel,
     VarianceScanReport,
     VarianceScanRow,
     enumerate_moments,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .core import ModuliSet, ResidueSystem, primes_in
+from .core import ModuliSet, ResidueSystem, lcm_guarded, primes_in
 
 
 @dataclass(frozen=True)
@@ -53,19 +53,31 @@ def alpha(obj) -> Fraction:
     return out
 
 
+def _earlier_pair_mass(mods: list[int]) -> list[Fraction]:
+    """For each index j, sum of 1/(n_i n_j) over i < j with gcd(n_i, n_j) > 1.
+
+    The inner sums run over integers scaled by D = lcm(mods), so each index
+    builds a single Fraction.
+    """
+    D = lcm_guarded(mods)
+    share = [D // n for n in mods]
+    out = []
+    for j, nj in enumerate(mods):
+        acc = 0
+        for i in range(j):
+            if gcd(mods[i], nj) > 1:
+                acc += share[i]
+        out.append(Fraction(acc, D * nj))
+    return out
+
+
 def beta(system: ResidueSystem) -> Fraction:
     """sum of 1/(n_i n_j) over index pairs i < j with gcd(n_i, n_j) > 1.
 
     Pairs are counted by multiset position, so repeated moduli contribute
     (two equal moduli > 1 are never coprime).
     """
-    mods = [c.modulus for c in system.classes]
-    out = Fraction(0)
-    for i in range(len(mods)):
-        for j in range(i + 1, len(mods)):
-            if gcd(mods[i], mods[j]) > 1:
-                out += Fraction(1, mods[i] * mods[j])
-    return out
+    return sum(_earlier_pair_mass(_moduli_of(system)), Fraction(0))
 
 
 def pair_correction_bound(
@@ -79,35 +91,31 @@ def pair_correction_bound(
     term 1/(n_i n_j) by prod_{u > j} (1 - 1/n_u) over the classes after j,
     so it is order sensitive and never worse than the plain form.
     ``sort_desc`` preprocesses the class order to descending modulus, which
-    tends to shrink the factors on the largest subtracted terms.
+    tends to shrink the factors on the largest subtracted terms.  The
+    refined certificate also records alpha and beta, so one call yields
+    both bounds.
     """
     classes = list(system.classes)
     if sort_desc:
         classes.sort(key=lambda c: (-c.modulus, c.residue))
     mods = [c.modulus for c in classes]
     a = alpha(mods)
+    mass = _earlier_pair_mass(mods)
+    plain_sub = sum(mass, Fraction(0))
+    if not refined:
+        return BoundCertificate("pair-correction", a - plain_sub, {"alpha": a, "beta": plain_sub})
 
-    # suffix products prod_{u > j} (1 - 1/n_u)
-    suffix = [Fraction(1)] * (len(mods) + 1)
-    for u in range(len(mods) - 1, -1, -1):
-        suffix[u] = suffix[u + 1] * Fraction(mods[u] - 1, mods[u])
-
-    plain_sub = Fraction(0)
+    # suffix = prod_{u > j} (1 - 1/n_u), walking j downwards
     refined_sub = Fraction(0)
-    for i in range(len(mods)):
-        for j in range(i + 1, len(mods)):
-            if gcd(mods[i], mods[j]) > 1:
-                term = Fraction(1, mods[i] * mods[j])
-                plain_sub += term
-                refined_sub += term * suffix[j + 1]
-
-    if refined:
-        return BoundCertificate(
-            "pair-correction-refined",
-            a - refined_sub,
-            {"alpha": a, "beta": plain_sub, "refined_correction": refined_sub},
-        )
-    return BoundCertificate("pair-correction", a - plain_sub, {"alpha": a, "beta": plain_sub})
+    suffix = Fraction(1)
+    for j in range(len(mods) - 1, -1, -1):
+        refined_sub += mass[j] * suffix
+        suffix *= Fraction(mods[j] - 1, mods[j])
+    return BoundCertificate(
+        "pair-correction-refined",
+        a - refined_sub,
+        {"alpha": a, "beta": plain_sub, "refined_correction": refined_sub},
+    )
 
 
 def smooth_numbers(limit: int, Q: float) -> list[int]:

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .bounds import alpha, beta, pair_correction_bound
+from .bounds import pair_correction_bound
 from .construct import (
     exact_cover_construct,
     extend_witness,
@@ -31,6 +31,7 @@ from .construct import (
 )
 from .core import GuardExceeded, ModuliSet, ResidueSystem
 from .decompose import (
+    DEFAULT_M_GUARD,
     SmoothCoverError,
     decompose,
     decomposition_identity,
@@ -95,8 +96,20 @@ def load_system(path: str, text: bool = False) -> ResidueSystem:
             pairs.append((int(m.group(2)), int(m.group(1))))
         return ResidueSystem.from_pairs(pairs)
     doc = json.loads(raw)
-    classes = doc["classes"] if isinstance(doc, dict) else doc
-    return ResidueSystem.from_pairs((int(n), int(r)) for n, r in classes)
+    if isinstance(doc, dict):
+        if "classes" not in doc:
+            raise UsageError(f"{path}: missing the 'classes' key")
+        doc = doc["classes"]
+    if not isinstance(doc, list):
+        raise UsageError(f"{path}: 'classes' is not a list of [n, r] pairs")
+    for entry in doc:
+        # bool is an int subclass, so test the exact type
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(type(v) is int for v in entry)):
+            raise UsageError(
+                f"{path}: bad class {json.dumps(entry)} (expected [n, r] with integers n, r)"
+            )
+    return ResidueSystem.from_pairs(doc)
 
 
 def _parse_moduli(spec: str) -> ModuliSet:
@@ -159,7 +172,7 @@ def build_parser() -> _Parser:
              epilog="CSV columns: lower_bound, conclusion, M, pattern_count")
     sp.add_argument("--input", required=True)
     sp.add_argument("--Q", type=float, required=True)
-    sp.add_argument("--guard", type=int, default=10**7, help="max M")
+    sp.add_argument("--guard", type=int, default=DEFAULT_M_GUARD, help="max M")
     sp.add_argument("--audit", action="store_true",
                     help="include the per-pattern contribution table")
 
@@ -167,7 +180,7 @@ def build_parser() -> _Parser:
              epilog="CSV columns: M, Q, pattern_count (groups only in JSON)")
     sp.add_argument("--input", required=True)
     sp.add_argument("--Q", type=float, required=True)
-    sp.add_argument("--guard", type=int, default=10**7, help="max M")
+    sp.add_argument("--guard", type=int, default=DEFAULT_M_GUARD, help="max M")
     sp.add_argument("--check-identity", action="store_true",
                     help="also scan the full period and verify the density identity")
 
@@ -249,15 +262,15 @@ def _dispatch(args) -> dict:
 
     if cmd == "bounds":
         system = load_system(args.input, text)
-        plain = pair_correction_bound(system, refined=False)
-        refined = pair_correction_bound(system, refined=True, sort_desc=args.sort_desc)
+        cert = pair_correction_bound(system, refined=True, sort_desc=args.sort_desc)
+        a, b = cert.components["alpha"], cert.components["beta"]
         return {
             "inputs": {"input": args.input, "sort_desc": args.sort_desc},
             "result": {
-                "alpha": alpha(system), "beta": beta(system),
-                "plain_bound": plain.lower_bound,
-                "refined_bound": refined.lower_bound,
-                "conclusion": refined.conclusion,
+                "alpha": a, "beta": b,
+                "plain_bound": a - b,
+                "refined_bound": cert.lower_bound,
+                "conclusion": cert.conclusion,
             },
         }
 
@@ -445,7 +458,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, NotCoprimeError, SmoothCoverError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

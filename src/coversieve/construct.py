@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .core import (
     ResidueSystem,
     crt_coprime,
     factorize,
+    lcm_guarded,
     primes_in,
     _prime_segments,
 )
@@ -346,9 +346,7 @@ def extend_witness(
     a = uncovered_witness(c0, guard)
     if a is None:
         raise SmoothCoverError("smooth part covers all integers")
-    L = 1
-    for c in smooth_cls:
-        L = lcm(L, c.modulus)
+    L = lcm_guarded((c.modulus for c in smooth_cls), guard)
 
     congruences = [(L, a)]
     for p in sorted(rough_primes):

@@ -16,8 +16,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-ExactRational = Fraction
-
 _SPF_LIMIT = 10**6
 _spf_cache: np.ndarray | None = None
 
@@ -91,9 +89,6 @@ class ResidueSystem:
         for c in self.classes:
             counts[c.modulus] = counts.get(c.modulus, 0) + 1
         return max(counts.values(), default=0)
-
-    def lcm(self, guard_bits: int = 10**6) -> int:
-        return lcm_guarded(ModuliSet.from_iterable(c.modulus for c in self.classes), guard_bits)
 
     def shifted(self, t: int) -> "ResidueSystem":
         """Translate every class by t; uncovered density is invariant."""
@@ -316,21 +311,26 @@ def primes_in(a: float, b: float) -> list[int]:
     return out
 
 
-def lcm_guarded(moduli: ModuliSet | Iterable[int], guard_bits: int = 64) -> int:
-    """Exact lcm of a multiset, or a GuardExceeded signal past guard_bits.
+def lcm_guarded(moduli: Iterable[int], guard: int | None = None) -> int:
+    """Exact lcm of a multiset of moduli, or GuardExceeded past ``guard``.
 
-    The guard is measured in bits because an lcm over an interval of moduli
-    explodes; the signal carries the bit length reached so callers can size
-    a fallback.
+    The guard bounds the lcm value itself, in the one unit every period
+    guard of the library uses: sieve cells of a density scan, the modulus M
+    of the smooth-part decomposition, bits of a class-mask period.  The
+    signal is raised as soon as the running lcm exceeds ``guard`` and
+    carries that lcm as its estimate.  Each CLI ``--guard`` bounds such an
+    lcm, except the W(T), subset-count and residue-choice-count guards.
+    ``guard=None`` computes the lcm unbounded (its size is linear in the
+    input; only the scans it sizes need a bound).
     """
-    if guard_bits < 1:
-        raise ValueError("guard_bits must be >= 1")
+    if guard is not None and guard < 1:
+        raise ValueError("guard must be >= 1")
     acc = 1
     for n in moduli:
         acc = lcm(acc, n)
-        if acc.bit_length() > guard_bits:
+        if guard is not None and acc > guard:
             raise GuardExceeded(
-                f"lcm exceeds {guard_bits} bits", estimate=acc.bit_length()
+                f"scan period exceeds guard of {guard} cells", estimate=acc
             )
     return acc
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import numpy as np
 
 from .bounds import BoundCertificate, alpha, beta
-from .core import GuardExceeded, ResidueSystem, smooth_split
+from .core import ResidueSystem, is_prime, lcm_guarded, smooth_split
 from .density import DEFAULT_CELL_GUARD, DensityReport, exact_density
 
 DEFAULT_M_GUARD = 10**7
@@ -106,11 +106,7 @@ def decompose(
     if Q < 2:
         raise ValueError("Q must be >= 2")
     splits = tuple(smooth_split(c.modulus, Q) for c in system.classes)
-    M = 1
-    for s, _ in splits:
-        M = lcm(M, s)
-        if M > guard_m:
-            raise GuardExceeded(f"M exceeds guard {guard_m}", estimate=M)
+    M = lcm_guarded((s for s, _ in splits), guard_m)
 
     residues = [c.residue for c in system.classes]
     found = _membership_groups(splits, residues, M)
@@ -181,15 +177,16 @@ def density_decomposed(
     """
     dec = decompose(system, Q, guard_m)
     total = Fraction(0)
-    rough_period = 1
+    rough_periods = []
     for g in dec.groups:
         rep = exact_density(g.subsystem, density_guard)
         total += g.count * rep.value
-        rough_period = lcm(rough_period, rep.period)
+        rough_periods.append(rep.period)
     value = total / dec.M
-    period = dec.M * rough_period
+    period = dec.M * lcm_guarded(rough_periods)
     count = value * period
-    assert count.denominator == 1
+    if count.denominator != 1:
+        raise ArithmeticError(f"uncovered count {count} over period {period} is not an integer")
     return DensityReport(value, period, "decomposition", int(count))
 
 
@@ -285,7 +282,4 @@ def suggest_Q(system: ResidueSystem) -> int:
     """Largest prime at most sqrt(max modulus), a serviceable default for Q."""
     mods = [c.modulus for c in system.classes]
     top = isqrt(max(mods, default=4))
-    for q in range(max(top, 2), 1, -1):
-        if all(q % p for p in range(2, isqrt(q) + 1)):
-            return q
-    return 2
+    return next((q for q in range(top, 1, -1) if is_prime(q)), 2)

@@ -19,6 +19,7 @@ from .core import (
     ModuliSet,
     ResidueClass,
     ResidueSystem,
+    lcm_guarded,
 )
 
 DEFAULT_CELL_GUARD = 10**9
@@ -42,26 +43,22 @@ class DensityReport:
     uncovered_count: int
 
 
-def _period(system: ResidueSystem, guard: int) -> int:
-    acc = 1
-    for c in system.classes:
-        acc = lcm(acc, c.modulus)
-        if acc > guard:
-            raise GuardExceeded(
-                f"scan period exceeds guard of {guard} cells", estimate=acc
-            )
-    return acc
+def _covered_segments(system: ResidueSystem, L: int):
+    """Yield (lo, cov) over [0, L): cov[i] is nonzero iff lo + i is covered.
 
-
-def _mark_segment(cov: bytearray, lo: int, hi: int, classes) -> None:
-    """Paint covered residues of [lo, hi) into cov (one byte per cell)."""
-    width = hi - lo
-    for c in classes:
-        n, r = c.modulus, c.residue
-        start = (r - lo) % n
-        if start < width:
-            count = (width - start + n - 1) // n
-            cov[start::n] = b"\x01" * count
+    One byte per cell; each class is painted with one strided slice
+    assignment per segment.
+    """
+    for lo in range(0, L, SEGMENT_SIZE):
+        width = min(SEGMENT_SIZE, L - lo)
+        cov = bytearray(width)
+        for c in system.classes:
+            n, r = c.modulus, c.residue
+            start = (r - lo) % n
+            if start < width:
+                count = (width - start + n - 1) // n
+                cov[start::n] = b"\x01" * count
+        yield lo, cov
 
 
 def exact_density(system: ResidueSystem, guard: int = DEFAULT_CELL_GUARD) -> DensityReport:
@@ -71,23 +68,15 @@ def exact_density(system: ResidueSystem, guard: int = DEFAULT_CELL_GUARD) -> Den
     callers should then fall back to the smooth-part decomposition or to
     lower-bound certificates.
     """
-    L = _period(system, guard)
-    uncovered = 0
-    for lo in range(0, L, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE, L)
-        cov = bytearray(hi - lo)
-        _mark_segment(cov, lo, hi, system.classes)
-        uncovered += cov.count(0)
+    L = lcm_guarded((c.modulus for c in system.classes), guard)
+    uncovered = sum(cov.count(0) for _, cov in _covered_segments(system, L))
     return DensityReport(Fraction(uncovered, L), L, "lcm-scan", uncovered)
 
 
 def uncovered_witness(system: ResidueSystem, guard: int = DEFAULT_CELL_GUARD) -> int | None:
     """Smallest nonnegative uncovered integer, or None when delta = 0."""
-    L = _period(system, guard)
-    for lo in range(0, L, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE, L)
-        cov = bytearray(hi - lo)
-        _mark_segment(cov, lo, hi, system.classes)
+    L = lcm_guarded((c.modulus for c in system.classes), guard)
+    for lo, cov in _covered_segments(system, L):
         at = cov.find(0)
         if at >= 0:
             return lo + at
@@ -218,14 +207,21 @@ class DeltaMinusResult:
     reciprocal_sum: Fraction
 
 
-def _class_masks(L: int, n: int) -> list[int]:
-    """Bitmask over [0, L) for each residue class mod n (n divides L)."""
-    raw = bytearray((L + 7) // 8)
-    for x in range(0, L, n):
-        raw[x >> 3] |= 1 << (x & 7)
-    base = int.from_bytes(raw, "little")
-    # n | L, so the shifted pattern for residue r stays inside [0, L)
-    return [base << r for r in range(n)]
+def _class_mask_table(moduli: list[int], guard: int) -> tuple[int, dict[int, list[int]]]:
+    """Guarded period L = lcm(moduli) and, per distinct n, its class bitmasks.
+
+    Mask r of n has the bits x in [0, L) with x = r (mod n).
+    """
+    L = lcm_guarded(moduli, guard)
+    table = {}
+    for n in set(moduli):
+        raw = bytearray((L + 7) // 8)
+        for x in range(0, L, n):
+            raw[x >> 3] |= 1 << (x & 7)
+        base = int.from_bytes(raw, "little")
+        # n | L, so the shifted pattern for residue r stays inside [0, L)
+        table[n] = [base << r for r in range(n)]
+    return L, table
 
 
 def delta_minus(
@@ -250,14 +246,8 @@ def delta_minus(
     if not mods:
         empty = ResidueSystem(())
         return DeltaMinusResult(Fraction(1), empty, True, Fraction(0))
-    L = 1
-    for n in mods:
-        L = lcm(L, n)
-        if L > guard:
-            raise GuardExceeded(f"period exceeds guard {guard}", estimate=L)
+    L, masks = _class_mask_table(mods, guard)
     rsum = sum((Fraction(1, n) for n in mods), Fraction(0))
-
-    masks = {n: _class_masks(L, n) for n in set(mods)}
     full = (1 << L) - 1
 
     if mode == "greedy":

@@ -19,20 +19,9 @@ import numpy as np
 
 from .bounds import alpha
 from .core import GuardExceeded, ModuliSet, ResidueSystem
-from .density import DEFAULT_CELL_GUARD, _class_masks, exact_density
+from .density import DEFAULT_CELL_GUARD, _class_mask_table, exact_density
 
 DEFAULT_W_GUARD = 10**6
-
-
-@dataclass(frozen=True)
-class RandomModel:
-    """The family of all residue systems on a fixed moduli multiset."""
-
-    T: ModuliSet
-    seed: int | None = None
-
-    def W(self) -> int:
-        return self.T.product()
 
 
 @dataclass(frozen=True)
@@ -51,24 +40,17 @@ def expected_delta(T: ModuliSet) -> Fraction:
     return alpha(T)
 
 
+def _bound_shape(T: ModuliSet) -> float:
+    """alpha^2 log N / N^2 with N = min T, the scale the variance is read against."""
+    N = min(T.moduli)
+    return float(alpha(T)) ** 2 * math.log(N) / N**2
+
+
 def _variance_shape(T: ModuliSet, variance: Fraction) -> float | None:
     if len(T) == 0:
         return None
-    N = min(T.moduli)
-    a = alpha(T)
-    if N < 2 or a == 0:
-        return None
-    shape = float(a) ** 2 * math.log(N) / N**2
-    return float(variance) / shape
-
-
-def _masks_for(T: ModuliSet, guard: int):
-    L = 1
-    for n in T.moduli:
-        L = lcm(L, n)
-        if L > guard:
-            raise GuardExceeded(f"period exceeds guard {guard}", estimate=L)
-    return L, {n: _class_masks(L, n) for n in set(T.moduli)}
+    shape = _bound_shape(T)
+    return float(variance) / shape if shape > 0 else None
 
 
 def enumerate_moments(
@@ -84,8 +66,8 @@ def enumerate_moments(
     W = T.product()
     if W > guard_w:
         raise GuardExceeded(f"W(T) = {W} exceeds guard {guard_w}", estimate=W)
-    L, masks = _masks_for(T, density_guard)
     mods = list(T.moduli)
+    L, masks = _class_mask_table(mods, density_guard)
     full = (1 << L) - 1
 
     total = 0
@@ -174,7 +156,7 @@ def sample_moments(
     mods = list(T.moduli)
     use_masks = True
     try:
-        L, masks = _masks_for(T, min(density_guard, 2 * 10**5))
+        L, masks = _class_mask_table(mods, min(density_guard, 2 * 10**5))
         full = (1 << L) - 1
     except GuardExceeded:
         use_masks = False
@@ -243,8 +225,7 @@ def variance_bound_scan(
             rep = pair_formula_moments(T, guard_subsets)
         except ValueError:
             rep = enumerate_moments(T, guard_w)
-        N = min(T.moduli)
-        shape = float(alpha(T)) ** 2 * math.log(N) / N**2
+        shape = _bound_shape(T)
         ratio = float(rep.variance) / shape if shape > 0 else 0.0
         if not math.isfinite(ratio):
             raise ArithmeticError(f"non-finite ratio for {T}")

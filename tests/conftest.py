@@ -50,6 +50,25 @@ def naive_density(system: cs.ResidueSystem) -> Fraction:
     return Fraction(unc, L)
 
 
+def pair_sums(mods: list[int]) -> tuple[Fraction, Fraction]:
+    """(plain, refined) subtracted pair mass of the pair-correction bound.
+
+    The direct O(l^2) loop over index pairs i < j with gcd(n_i, n_j) > 1:
+    plain adds 1/(n_i n_j), refined weights it by prod_{u > j} (1 - 1/n_u).
+    """
+    suffix = [Fraction(1)] * (len(mods) + 1)
+    for u in range(len(mods) - 1, -1, -1):
+        suffix[u] = suffix[u + 1] * Fraction(mods[u] - 1, mods[u])
+    plain = refined = Fraction(0)
+    for i in range(len(mods)):
+        for j in range(i + 1, len(mods)):
+            if gcd(mods[i], mods[j]) > 1:
+                term = Fraction(1, mods[i] * mods[j])
+                plain += term
+                refined += term * suffix[j + 1]
+    return plain, refined
+
+
 def unit_sum_distinct_sets(max_lcm: int) -> list[list[int]]:
     """All sets of distinct moduli > 1 with reciprocal sum exactly 1 and
     lcm at most max_lcm (enumerated as subsets of divisors per lcm value)."""

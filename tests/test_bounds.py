@@ -7,7 +7,7 @@ import pytest
 
 import coversieve as cs
 
-from conftest import random_system
+from conftest import pair_sums, random_system
 
 
 class TestAlpha:
@@ -111,6 +111,41 @@ class TestPairCorrectionBound:
             system = random_system(rnd)
             cert = cs.pair_correction_bound(system, refined=True, sort_desc=True)
             assert cert.lower_bound <= cs.exact_density(system).value
+
+
+class TestPairKernelOracle:
+    """beta and both bound forms against the direct pair loop, exactly."""
+
+    @staticmethod
+    def systems():
+        rnd = random.Random(77)
+        for _ in range(60):
+            # small moduli with replacement, a forced repeat, and modulus 1 in
+            # every other system (it zeroes every suffix product before it)
+            mods = [rnd.randint(2, 40) for _ in range(rnd.randint(0, 30))]
+            mods += [rnd.randint(2, 40)] * 2 + [1] * (len(mods) % 2)
+            rnd.shuffle(mods)
+            yield cs.ResidueSystem.from_pairs((n, rnd.randrange(n)) for n in mods)
+
+    def test_beta_and_plain_bound(self):
+        for system in self.systems():
+            plain, _ = pair_sums([c.modulus for c in system.classes])
+            assert cs.beta(system) == plain
+            cert = cs.pair_correction_bound(system)
+            assert cert.components["beta"] == plain
+            assert cert.lower_bound == cs.alpha(system) - plain
+
+    @pytest.mark.parametrize("sort_desc", [False, True])
+    def test_refined_bound(self, sort_desc):
+        for system in self.systems():
+            classes = list(system.classes)
+            if sort_desc:
+                classes.sort(key=lambda c: (-c.modulus, c.residue))
+            plain, refined = pair_sums([c.modulus for c in classes])
+            cert = cs.pair_correction_bound(system, refined=True, sort_desc=sort_desc)
+            assert cert.components["beta"] == plain
+            assert cert.components["refined_correction"] == refined
+            assert cert.lower_bound == cs.alpha(system) - refined
 
 
 class TestSmoothTailSum:

@@ -64,6 +64,22 @@ class TestDensityCommand:
     def test_missing_file_is_input_error(self, capsys):
         assert run(["density", "--input", "/nonexistent.json"]) == 1
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"classes": [[4.7, 1]]}, "[4.7, 1]"),
+        ({"classes": [[2, 0], [True, 0]]}, "[true, 0]"),
+        ({"classes": [[2, 1.9]]}, "[2, 1.9]"),
+        ({"name": "no classes"}, "'classes'"),
+        ([[2, 0, 5]], "[2, 0, 5]"),
+        ([[2]], "[2]"),
+    ])
+    def test_malformed_json_is_input_error(self, capsys, tmp_path, doc, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["density", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+
 
 class TestBoundsCommand:
     def test_worked_values(self, capsys, tmp_path):

@@ -145,13 +145,33 @@ class TestLcmGuarded:
             acc = 1
             for v in vals:
                 acc = acc * v // math.gcd(acc, v)
-            assert cs.lcm_guarded(cs.ModuliSet.from_iterable(vals), 10**6) == acc
+            assert cs.lcm_guarded(cs.ModuliSet.from_iterable(vals), 500**6) == acc
 
     def test_guard_signal_carries_estimate(self):
         big = cs.ModuliSet.from_iterable(range(101, 201))
         with pytest.raises(GuardExceeded) as info:
             cs.lcm_guarded(big, 64)
         assert info.value.estimate > 64
+
+
+# Moduli all 5-smooth, so the decomposition modulus M at Q = 5 equals the
+# scan period; W = 32400 keeps enumeration cheap.
+GUARD_PAIRS = [(4, 1), (6, 5), (9, 2), (10, 3), (15, 7)]
+GUARD_LCM = 180
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: cs.exact_density(cs.ResidueSystem.from_pairs(GUARD_PAIRS), g),
+    lambda g: cs.uncovered_witness(cs.ResidueSystem.from_pairs(GUARD_PAIRS), g),
+    lambda g: cs.delta_minus(cs.ModuliSet.from_iterable(n for n, _ in GUARD_PAIRS), "greedy", g),
+    lambda g: cs.enumerate_moments(cs.ModuliSet.from_iterable(n for n, _ in GUARD_PAIRS), density_guard=g),
+    lambda g: cs.decompose(cs.ResidueSystem.from_pairs(GUARD_PAIRS), 5, g),
+], ids=["exact_density", "uncovered_witness", "delta_minus", "enumerate_moments", "decompose"])
+def test_guard_bounds_the_lcm_value(call):
+    call(GUARD_LCM)
+    with pytest.raises(GuardExceeded) as info:
+        call(GUARD_LCM - 1)
+    assert info.value.estimate == GUARD_LCM
 
 
 class TestCrt:

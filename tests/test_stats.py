@@ -197,8 +197,3 @@ class TestVarianceBoundScan:
         for row in report.rows:
             assert row.variance >= 0
 
-
-class TestRandomModel:
-    def test_w_product(self):
-        model = cs.RandomModel(M(3, 4, 5))
-        assert model.W() == 60
