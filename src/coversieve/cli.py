@@ -226,7 +226,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--mode", choices=("enumerate", "pair", "sample"), default="enumerate")
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--guard", type=int, default=10**6)
+    sp.add_argument("--guard", type=int, default=None,
+                    help="max W(T) (enumerate), 2^|T| subsets (pair) or scan period (sample)")
 
     sp = add("verify-exact-cover", "check partition of the integers without scanning",
              epilog="CSV columns: exact, reciprocal_sum, reason")
@@ -391,12 +392,13 @@ def _dispatch(args) -> dict:
 
     if cmd == "stats":
         S = _parse_moduli(args.moduli)
+        guard = () if args.guard is None else (args.guard,)
         if args.mode == "enumerate":
-            rep = enumerate_moments(S, args.guard)
+            rep = enumerate_moments(S, *guard)
         elif args.mode == "pair":
-            rep = pair_formula_moments(S)
+            rep = pair_formula_moments(S, *guard)
         else:
-            rep = sample_moments(S, args.trials, args.seed)
+            rep = sample_moments(S, args.trials, args.seed, *guard)
         out = {
             "inputs": {"moduli": list(S.moduli), "mode": args.mode},
             "result": {

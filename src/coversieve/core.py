@@ -163,6 +163,10 @@ class Factorization:
         return dict(self.pairs)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3317044064679887385961981
+
+
 def _spf() -> np.ndarray:
     global _spf_cache
     if _spf_cache is None:
@@ -180,17 +184,22 @@ def _spf() -> np.ndarray:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    """Miller-Rabin over the 13 prime bases 2..41, a proof for n < _PSI13.
+
+    _PSI13 = 3317044064679887385961981 is the least strong pseudoprime to
+    all 13 bases.  A witness base proves n composite at any size; an n >=
+    _PSI13 that passes every base raises ValueError (primality unproven).
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -200,6 +209,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _PSI13:
+        raise ValueError(f"primality of {n} is unproven: it passes every base")
     return True
 
 

@@ -9,7 +9,10 @@ pair-correction bounds average into a positivity certificate for systems
 whose full period is far beyond any direct scan.
 
 Many h share an identical C_h, so subsystems are stored sparsely as
-distinct membership patterns with their h-counts.
+distinct membership patterns (int bitsets over the classes) with their
+h-counts.  Class i admits h iff h = r_i mod gcd(s_i, q) for every prime
+power q exactly dividing M, so one table per q, indexed by h mod q and
+deduplicated, is folded into the rest by CRT without visiting [0, M).
 """
 
 from __future__ import annotations
@@ -19,15 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-import numpy as np
-
 from .bounds import BoundCertificate, alpha, beta
-from .core import ResidueSystem, is_prime, lcm_guarded, smooth_split
+from .core import ResidueSystem, factorize, is_prime, lcm_guarded, smooth_split
 from .density import DEFAULT_CELL_GUARD, DensityReport, exact_density
 
 DEFAULT_M_GUARD = 10**7
-
-_CHUNK = 1 << 18
 
 
 class SmoothCoverError(ValueError):
@@ -42,6 +41,8 @@ class SubsystemGroup:
     admitting these h (before merging); subsystem holds the rough-cofactor
     classes with duplicates merged, since identical pairs arising from
     different parent classes count once inside a subsystem.
+    representative is one h with this subsystem, the least one when M is a
+    prime power (the CRT fold does not track least elements otherwise).
     """
 
     count: int
@@ -69,27 +70,28 @@ class Decomposition:
 
 
 def _membership_groups(splits, residues, M):
-    """Group h in [0, M) by which classes admit them; returns pattern -> [count, rep_h]."""
-    found: dict[bytes, list[int]] = {}
-    l = len(splits)
-    if l == 0:
-        return {b"": [M, 0]}
-    for start in range(0, M, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, M), dtype=np.int64)
-        masks = np.empty((l, idx.size), dtype=bool)
+    """Group h in [0, M) by admitting classes via the CRT fold; bits -> [count, h]."""
+    found = {(1 << len(splits)) - 1: [1, 0]}
+    mod = 1
+    for p, e in factorize(M).pairs:
+        q = p**e
+        free = sum(1 << i for i, (s, _) in enumerate(splits) if s % p)
+        table = [free] * q
         for i, ((s, _), r) in enumerate(zip(splits, residues)):
-            masks[i] = (idx % s) == (r % s)
-        rows = np.packbits(masks, axis=0).T
-        uniq, first, counts = np.unique(
-            rows, axis=0, return_index=True, return_counts=True
-        )
-        for row, at, cnt in zip(uniq, first, counts):
-            key = row.tobytes()
-            entry = found.get(key)
-            if entry is None:
-                found[key] = [int(cnt), start + int(at)]
-            else:
-                entry[0] += int(cnt)
+            if s % p == 0:
+                pa = gcd(s, q)
+                for x in range(r % pa, q, pa):
+                    table[x] |= 1 << i
+        cells: dict[int, list[int]] = {}
+        for x, tbits in enumerate(table):
+            cells.setdefault(tbits, [0, x])[0] += 1
+        inv = pow(mod, -1, q)
+        folded: dict[int, list[int]] = {}
+        for bits, (cnt, h) in found.items():
+            for tbits, (tcnt, x) in cells.items():
+                rep = h + mod * ((x - h) * inv % q)
+                folded.setdefault(bits & tbits, [0, rep])[0] += cnt * tcnt
+        found, mod = folded, mod * q
     return found
 
 
@@ -111,12 +113,10 @@ def decompose(
     residues = [c.residue for c in system.classes]
     found = _membership_groups(splits, residues, M)
 
-    l = len(splits)
     groups = []
     landings = 0
-    for key, (cnt, rep) in sorted(found.items(), key=lambda kv: kv[1][1]):
-        bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=l) if l else []
-        indices = tuple(int(i) for i in np.flatnonzero(bits)) if l else ()
+    for bits, (cnt, rep) in sorted(found.items(), key=lambda kv: kv[1][1]):
+        indices = tuple(i for i in range(len(splits)) if bits >> i & 1)
         landings += cnt * len(indices)
         pairs = set()
         for i in indices:

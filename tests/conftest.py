@@ -6,6 +6,7 @@ subset search, so that library results are confirmed by independent code.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -48,6 +49,23 @@ def naive_density(system: cs.ResidueSystem) -> Fraction:
         if all(x % c.modulus != c.residue for c in system.classes)
     )
     return Fraction(unc, L)
+
+
+def naive_membership(system: cs.ResidueSystem, Q: float) -> tuple[list[frozenset], Counter]:
+    """Per-h membership patterns of the smooth decomposition, by enumeration.
+
+    Returns the pattern of every h in [0, M) (indices i with
+    h = r_i mod s_i, s_i the Q-smooth part of n_i) and their counts; M is
+    the lcm of the smooth parts.  The reference for decompose's groups.
+    """
+    smooth = [cs.smooth_split(c.modulus, Q)[0] for c in system.classes]
+    M = lcm(*smooth)
+    patterns = [
+        frozenset(i for i, (s, c) in enumerate(zip(smooth, system.classes))
+                  if h % s == c.residue % s)
+        for h in range(M)
+    ]
+    return patterns, Counter(patterns)
 
 
 def pair_sums(mods: list[int]) -> tuple[Fraction, Fraction]:

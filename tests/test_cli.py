@@ -143,6 +143,13 @@ class TestStatsCommand:
         assert report["seed"] == 42
         assert report["result"]["sample_count"] == 100
 
+    @pytest.mark.parametrize("mode", ["pair", "sample"])
+    def test_guard_bounds_every_mode(self, capsys, mode):
+        code, out = invoke(capsys, "stats", "--moduli", "3,4,5", "--mode", mode,
+                           "--trials", "3", "--guard", "1")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "guard-exceeded"
+
 
 class TestConstructCommands:
     def test_construct_exact_j2(self, capsys):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import coversieve as cs
-from coversieve.core import GuardExceeded
+from coversieve.core import GuardExceeded, is_prime
 
 from conftest import divisors_of
 
@@ -77,6 +77,36 @@ class TestFactorize:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             cs.factorize(0)
+
+
+PSI12 = 318665857834031151167461  # least strong pseudoprime to bases 2..37
+PSI13 = 3317044064679887385961981  # least strong pseudoprime to bases 2..41
+
+
+class TestIsPrime:
+    def test_psi12_is_composite(self):
+        assert is_prime(PSI12) is False
+        assert cs.factorize(PSI12).as_dict() == {399165290221: 1, 798330580441: 1}
+        assert cs.factorize(7 * PSI12).as_dict() == {7: 1, 399165290221: 1, 798330580441: 1}
+
+    @pytest.mark.parametrize("n", [PSI13, 2**89 - 1], ids=["psi13", "mersenne89"])
+    def test_unproven_range_raises(self, n):
+        with pytest.raises(ValueError):
+            is_prime(n)
+
+    def test_composite_witness_is_proof_at_any_size(self):
+        assert is_prime(PSI13 * 3) is False
+        assert is_prime(2**89 + 1) is False
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rnd = random.Random(6)
+        # least strong pseudoprimes to the first k prime bases, k = 1..9 (k = 7, 8 share one)
+        hard = [2047, 1373653, 25326001, 3215031751, 2152302898747,
+                3474749660383, 341550071728321, 3825123056546413051]
+        samples = hard + list(range(2, 2000)) + [rnd.randrange(2, PSI13) for _ in range(2000)]
+        for n in samples:
+            assert is_prime(n) == sympy.isprime(n), n
 
 
 class TestSmoothSplit:

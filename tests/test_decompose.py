@@ -8,7 +8,7 @@ import coversieve as cs
 from coversieve.core import GuardExceeded
 from coversieve.decompose import SmoothCoverError
 
-from conftest import random_system
+from conftest import naive_membership, random_system
 
 WORKED = cs.ResidueSystem.from_pairs([(2, 0), (3, 1), (6, 5)])
 
@@ -86,6 +86,31 @@ class TestDecompose:
     def test_q_below_two_rejected(self):
         with pytest.raises(ValueError):
             cs.decompose(WORKED, 1.5)
+
+
+def _oracle_cases():
+    rnd = random.Random(43)
+    for Q in (3, 5, 7):
+        for k in range(30):
+            yield pytest.param(random_system(rnd, max_classes=6), Q, id=f"random-Q{Q}-{k}")
+    yield pytest.param(cs.ResidueSystem(()), 3, id="empty")
+    yield pytest.param(cs.ResidueSystem.from_pairs([(7, 3), (11, 5), (13, 1)]), 5, id="all-rough")
+    rnd = random.Random(44)
+    yield pytest.param(
+        cs.ResidueSystem.from_pairs((2**k, rnd.randrange(2**k)) for k in range(1, 17)), 2,
+        id="powers-of-two",
+    )
+
+
+@pytest.mark.parametrize("system, Q", _oracle_cases())
+def test_groups_match_naive_membership(system, Q):
+    dec = cs.decompose(system, Q)
+    patterns, counts = naive_membership(system, Q)
+    assert len(patterns) == dec.M
+    assert {frozenset(g.class_indices): g.count for g in dec.groups} == counts
+    for g in dec.groups:
+        assert 0 <= g.representative < dec.M
+        assert patterns[g.representative] == frozenset(g.class_indices)
 
 
 class TestDecompositionIdentity:
