@@ -2,8 +2,10 @@
 
 The workhorse is a segmented one-byte-per-residue sieve over one full period
 ``[0, lcm)``: covering marks are strided writes, so each class is painted
-with a single slice assignment per segment.  Everything returned is an exact
-``Fraction``.
+with a single slice assignment per segment.  The uncovered count is the
+period minus the covered bytes, which ``np.count_nonzero`` counts per
+segment at memory speed; the least uncovered integer is found with
+``bytearray.find``, a memchr.  Everything returned is an exact ``Fraction``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+
+import numpy as np
 
 from .core import (
     SEGMENT_SIZE,
@@ -69,7 +73,11 @@ def exact_density(system: ResidueSystem, guard: int = DEFAULT_CELL_GUARD) -> Den
     lower-bound certificates.
     """
     L = lcm_guarded((c.modulus for c in system.classes), guard)
-    uncovered = sum(cov.count(0) for _, cov in _covered_segments(system, L))
+    covered = sum(
+        int(np.count_nonzero(np.frombuffer(cov, np.uint8)))
+        for _, cov in _covered_segments(system, L)
+    )
+    uncovered = L - covered
     return DensityReport(Fraction(uncovered, L), L, "lcm-scan", uncovered)
 
 
@@ -184,7 +192,9 @@ def delta_plus(S: ModuliSet, guard: int = DEFAULT_CELL_GUARD) -> Fraction:
         )
         return report.value
 
-    total = Fraction(0)
+    # every subset lcm divides D, so the terms are summed as integers over D
+    D = lcm(*mods)
+    total = 0
 
     def walk(idx: int, cur_lcm: int, sign: int):
         nonlocal total
@@ -192,11 +202,11 @@ def delta_plus(S: ModuliSet, guard: int = DEFAULT_CELL_GUARD) -> Fraction:
             return
         walk(idx + 1, cur_lcm, sign)
         nxt = lcm(cur_lcm, mods[idx])
-        total += Fraction(sign, nxt)
+        total += sign * (D // nxt)
         walk(idx + 1, nxt, -sign)
 
     walk(0, 1, -1)
-    return 1 + total
+    return 1 + Fraction(total, D)
 
 
 @dataclass(frozen=True)

@@ -62,13 +62,18 @@ def enumerate_moments(
 
     Densities share the period L = lcm(T), so the sums run over integer
     uncovered counts and only the final normalization builds fractions.
+    Delta is translation invariant, so the walk fixes residue 0 of the
+    largest modulus and weights both sums by that modulus: W(T) / max T
+    systems are visited.
     """
     W = T.product()
     if W > guard_w:
         raise GuardExceeded(f"W(T) = {W} exceeds guard {guard_w}", estimate=W)
-    mods = list(T.moduli)
+    mods = sorted(T.moduli, reverse=True)
     L, masks = _class_mask_table(mods, density_guard)
     full = (1 << L) - 1
+    choices = [masks[n][:1] if i == 0 else masks[n] for i, n in enumerate(mods)]
+    weight = mods[0] if mods else 1
 
     total = 0
     total_sq = 0
@@ -80,12 +85,12 @@ def enumerate_moments(
             total += c
             total_sq += c * c
             return
-        for mask in masks[mods[idx]]:
+        for mask in choices[idx]:
             walk(idx + 1, uncovered & ~mask)
 
     walk(0, full)
-    mean = Fraction(total, W * L)
-    second = Fraction(total_sq, W * L * L)
+    mean = Fraction(weight * total, W * L)
+    second = Fraction(weight * total_sq, W * L * L)
     variance = second - mean * mean
     return MomentReport(
         mean, second, variance, "enumeration",
@@ -117,12 +122,16 @@ def pair_formula_moments(
             f"2^{len(mods)} subsets exceed guard", estimate=2 ** len(mods)
         )
 
-    subtotal = Fraction(0)
+    # M(S) | m_all and L(S) | l_all, so the terms are summed as integers
+    # over the one denominator m_all * l_all
+    m_all = prod(n - 2 for n in mods)
+    l_all = lcm(*mods)
+    subtotal = 0
 
     def walk(idx: int, m_prod: int, l_val: int):
         nonlocal subtotal
         if idx == len(mods):
-            subtotal += Fraction(1, m_prod * l_val)
+            subtotal += (m_all // m_prod) * (l_all // l_val)
             return
         walk(idx + 1, m_prod, l_val)
         n = mods[idx]
@@ -130,7 +139,7 @@ def pair_formula_moments(
 
     walk(0, 1, 1)
     prefactor = prod((Fraction(n - 2, n) for n in mods), start=Fraction(1))
-    second = prefactor * subtotal
+    second = prefactor * Fraction(subtotal, m_all * l_all)
     mean = expected_delta(T)
     variance = second - mean * mean
     return MomentReport(

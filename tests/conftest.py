@@ -5,10 +5,11 @@ are rechecked by naive per-integer scans, candidate modulus sets by direct
 subset search, so that library results are confirmed by independent code.
 """
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import coversieve as cs
 
@@ -49,6 +50,32 @@ def naive_density(system: cs.ResidueSystem) -> Fraction:
         if all(x % c.modulus != c.residue for c in system.classes)
     )
     return Fraction(unc, L)
+
+
+def naive_witness(system: cs.ResidueSystem) -> int | None:
+    """Least uncovered integer by a per-integer scan; the reference for
+    uncovered_witness.  None when the period is covered."""
+    L = lcm(*(c.modulus for c in system.classes))
+    return next(
+        (x for x in range(L)
+         if all(x % c.modulus != c.residue for c in system.classes)),
+        None,
+    )
+
+
+def naive_moments(mods: list[int]) -> tuple[Fraction, Fraction]:
+    """(mean, second moment) of the density over every residue choice.
+
+    Sums naive_density over all W = prod(mods) systems; the reference for
+    enumerate_moments and pair_formula_moments.
+    """
+    total = total_sq = Fraction(0)
+    for residues in itertools.product(*(range(n) for n in mods)):
+        d = naive_density(cs.ResidueSystem.from_pairs(zip(mods, residues)))
+        total += d
+        total_sq += d * d
+    W = prod(mods)
+    return total / W, total_sq / W
 
 
 def naive_membership(system: cs.ResidueSystem, Q: float) -> tuple[list[frozenset], Counter]:

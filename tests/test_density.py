@@ -1,14 +1,21 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 import coversieve as cs
+from coversieve import density
 from coversieve.core import GuardExceeded
 from coversieve.density import NotCoprimeError
 
-from conftest import exact_cover_exists, naive_density, random_system, unit_sum_distinct_sets
+from conftest import (
+    exact_cover_exists,
+    naive_density,
+    naive_witness,
+    random_system,
+    unit_sum_distinct_sets,
+)
 
 OPENING = cs.ResidueSystem.from_pairs([(2, 0), (3, 0), (4, 1), (6, 1), (12, 11)])
 
@@ -263,6 +270,31 @@ class TestUncoveredWitness:
                 assert all(x % c.modulus != c.residue for c in system.classes for x in [w])
                 for x in range(w):
                     assert any(x % c.modulus == c.residue for c in system.classes)
+
+
+# Hand-built systems for the segment-width tests: the least uncovered
+# integer 31 lies past the first segment of every width below 32, moduli 30
+# and 35 are wider than the short segments, and the last segment is short
+# for period 35 at width 2, for period 30 at width 7, and for both at 64.
+SEGMENT_SYSTEMS = [
+    cs.ResidueSystem.from_pairs([(2, 0), (4, 1), (8, 3), (16, 7), (32, 15)]),
+    cs.ResidueSystem.from_pairs([(30, 29), (3, 0), (5, 1), (2, 0)]),
+    cs.ResidueSystem.from_pairs([(35, 34), (7, 6), (5, 0)]),
+    OPENING,
+] + [random_system(random.Random(70 + i), max_classes=6, allow_unit=True) for i in range(12)]
+
+
+class TestSegmentBoundaries:
+    """The period sieve at segment widths that split the period unevenly."""
+
+    @pytest.mark.parametrize("width", ["1", "2", "7", "64", "L-1", "L", "L+1"])
+    def test_density_and_witness_match_naive_scan(self, monkeypatch, width):
+        for system in SEGMENT_SYSTEMS:
+            L = lcm(*(c.modulus for c in system.classes))
+            size = {"L-1": max(L - 1, 1), "L": L, "L+1": L + 1}.get(width) or int(width)
+            monkeypatch.setattr(density, "SEGMENT_SIZE", size)
+            assert cs.exact_density(system).value == naive_density(system)
+            assert cs.uncovered_witness(system) == naive_witness(system)
 
 
 class TestPairCorrectionAgainstScans:

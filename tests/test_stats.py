@@ -8,6 +8,8 @@ import pytest
 import coversieve as cs
 from coversieve.core import GuardExceeded
 
+from conftest import naive_moments
+
 
 def M(*mods):
     return cs.ModuliSet.from_iterable(mods)
@@ -112,6 +114,40 @@ class TestPairFormula:
         for _ in range(30):
             mods = sorted(rnd.sample(range(3, 30), rnd.randint(1, 5)))
             assert cs.pair_formula_moments(M(*mods)).variance >= 0
+
+
+class TestMomentsOracle:
+    """Exact moments against naive_moments, a naive scan of every system."""
+
+    @pytest.mark.parametrize("mods", [
+        (), (1,), (1, 1), (2,), (2, 2), (1, 3), (2, 4, 4), (3, 3, 2),
+        (4, 6, 6), (6, 4, 6, 3), (5, 5, 5), (1, 6, 2, 6),
+    ])
+    def test_enumerate_multisets(self, mods):
+        rep = cs.enumerate_moments(M(*mods))
+        assert (rep.mean, rep.second_moment) == naive_moments(list(mods))
+
+    def test_enumerate_seeded(self):
+        rnd = random.Random(63)
+        done = 0
+        while done < 30:
+            mods = [rnd.randint(1, 8) for _ in range(rnd.randint(1, 4))]
+            if math.prod(mods) * math.lcm(*mods) > 2 * 10**4:
+                continue
+            rep = cs.enumerate_moments(M(*mods))
+            assert (rep.mean, rep.second_moment) == naive_moments(mods)
+            done += 1
+
+    def test_pair_formula_seeded(self):
+        rnd = random.Random(64)
+        done = 0
+        while done < 20:
+            mods = rnd.sample(range(3, 13), rnd.randint(1, 3))
+            if math.prod(mods) * math.lcm(*mods) > 2 * 10**4:
+                continue
+            rep = cs.pair_formula_moments(M(*mods))
+            assert (rep.mean, rep.second_moment) == naive_moments(mods)
+            done += 1
 
 
 class TestSampleMoments:
