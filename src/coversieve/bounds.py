@@ -13,11 +13,13 @@ threshold function used to parameterize experiments.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import lcm, prod
 
-from .core import ModuliSet, ResidueSystem, lcm_guarded, primes_in
+from .core import ModuliSet, ResidueSystem, factorize, primes_in
 
 
 @dataclass(frozen=True)
@@ -47,28 +49,43 @@ def _moduli_of(obj) -> list[int]:
 
 def alpha(obj) -> Fraction:
     """prod (1 - 1/n) over the moduli multiset; depends only on the moduli."""
-    out = Fraction(1)
-    for n in _moduli_of(obj):
-        out *= Fraction(n - 1, n)
-    return out
+    mods = _moduli_of(obj)
+    return Fraction(prod(n - 1 for n in mods), prod(mods))
 
 
-def _earlier_pair_mass(mods: list[int]) -> list[Fraction]:
-    """For each index j, sum of 1/(n_i n_j) over i < j with gcd(n_i, n_j) > 1.
+@lru_cache(maxsize=4096)
+def _squarefree_divisors(n: int) -> tuple[tuple[int, int], ...]:
+    """(d, mu(d)) for every squarefree divisor d > 1 of n (none for n = 1)."""
+    out = [(1, 1)]
+    for p, _ in factorize(n).pairs:
+        out += [(d * p, -mu) for d, mu in out]
+    return tuple(out[1:])
 
-    The inner sums run over integers scaled by D = lcm(mods), so each index
-    builds a single Fraction.
+
+def _earlier_pair_mass(mods: list[int]) -> tuple[Fraction, int, list[int]]:
+    """(beta, D, acc): D = lcm(mods) and, per index j, acc_j = sum of D/n_i
+    over the i < j with gcd(n_i, n_j) > 1, so that j's pair mass is
+    acc_j / (D n_j) and beta = sum_j acc_j (D/n_j) / D^2.
+
+    By Moebius inversion over the squarefree divisors d of n_j, the coprime
+    earlier mass is sum_d mu(d) S_d with S_d = sum of D/n_i over the i < j
+    that d divides; its d = 1 term is the whole earlier mass, so the
+    non-coprime mass is -sum_{d > 1} mu(d) S_d.  That costs O(l 2^omega)
+    integer additions instead of O(l^2) gcds.
     """
-    D = lcm_guarded(mods)
-    share = [D // n for n in mods]
-    out = []
-    for j, nj in enumerate(mods):
-        acc = 0
-        for i in range(j):
-            if gcd(mods[i], nj) > 1:
-                acc += share[i]
-        out.append(Fraction(acc, D * nj))
-    return out
+    D = lcm(*mods)
+    S: defaultdict[int, int] = defaultdict(int)
+    acc = []
+    num = 0  # beta * D^2
+    for n in mods:
+        share = D // n
+        a = 0
+        for d, mu in _squarefree_divisors(n):
+            a -= mu * S[d]
+            S[d] += share
+        acc.append(a)
+        num += a * share
+    return Fraction(num, D * D), D, acc
 
 
 def beta(system: ResidueSystem) -> Fraction:
@@ -77,7 +94,7 @@ def beta(system: ResidueSystem) -> Fraction:
     Pairs are counted by multiset position, so repeated moduli contribute
     (two equal moduli > 1 are never coprime).
     """
-    return sum(_earlier_pair_mass(_moduli_of(system)), Fraction(0))
+    return _earlier_pair_mass(_moduli_of(system))[0]
 
 
 def pair_correction_bound(
@@ -100,17 +117,18 @@ def pair_correction_bound(
         classes.sort(key=lambda c: (-c.modulus, c.residue))
     mods = [c.modulus for c in classes]
     a = alpha(mods)
-    mass = _earlier_pair_mass(mods)
-    plain_sub = sum(mass, Fraction(0))
+    plain_sub, D, acc = _earlier_pair_mass(mods)
     if not refined:
         return BoundCertificate("pair-correction", a - plain_sub, {"alpha": a, "beta": plain_sub})
 
-    # suffix = prod_{u > j} (1 - 1/n_u), walking j downwards
-    refined_sub = Fraction(0)
-    suffix = Fraction(1)
-    for j in range(len(mods) - 1, -1, -1):
-        refined_sub += mass[j] * suffix
-        suffix *= Fraction(mods[j] - 1, mods[j])
+    # Horner over j: after index j, num / (D * pre) is the refined mass of
+    # the indices <= j, each weighted by prod (1 - 1/n_u) over u in (its
+    # index, j]; pre = prod_{u <= j} n_u
+    num, pre = 0, 1
+    for m, n in zip(acc, mods):
+        num = num * (n - 1) + m * pre
+        pre *= n
+    refined_sub = Fraction(num, D * pre)
     return BoundCertificate(
         "pair-correction-refined",
         a - refined_sub,

@@ -9,6 +9,7 @@ no float ever enters an exact result.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -98,7 +99,11 @@ class ResidueSystem:
         return ResidueSystem(tuple(ResidueClass(c.modulus, c.residue + t) for c in self.classes))
 
     def reciprocal_sum(self) -> Fraction:
-        return sum((Fraction(1, c.modulus) for c in self.classes), Fraction(0))
+        """sum of 1/n over the classes, as integers over the lcm D of the
+        distinct moduli: sum of count_n * (D / n), one Fraction at the end."""
+        counts = Counter(c.modulus for c in self.classes)
+        D = lcm(*counts)
+        return Fraction(sum(k * (D // n) for n, k in counts.items()), D)
 
     def __len__(self):
         return len(self.classes)

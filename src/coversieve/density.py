@@ -217,10 +217,14 @@ class DeltaMinusResult:
     reciprocal_sum: Fraction
 
 
-def _class_mask_table(moduli: list[int], guard: int) -> tuple[int, dict[int, list[int]]]:
+def _class_mask_table(
+    moduli: list[int], guard: int, fixed: int | None = None
+) -> tuple[int, dict[int, list[int]]]:
     """Guarded period L = lcm(moduli) and, per distinct n, its class bitmasks.
 
-    Mask r of n has the bits x in [0, L) with x = r (mod n).
+    Mask r of n has the bits x in [0, L) with x = r (mod n).  For n equal
+    to ``fixed`` only mask 0 is built: a walk that fixes the residue of
+    that modulus by translation invariance reads no other.
     """
     L = lcm_guarded(moduli, guard)
     table = {}
@@ -230,7 +234,7 @@ def _class_mask_table(moduli: list[int], guard: int) -> tuple[int, dict[int, lis
             raw[x >> 3] |= 1 << (x & 7)
         base = int.from_bytes(raw, "little")
         # n | L, so the shifted pattern for residue r stays inside [0, L)
-        table[n] = [base << r for r in range(n)]
+        table[n] = [base] if n == fixed else [base << r for r in range(n)]
     return L, table
 
 
@@ -257,7 +261,7 @@ def delta_minus(
         empty = ResidueSystem(())
         return DeltaMinusResult(Fraction(1), empty, True, Fraction(0))
     L, masks = _class_mask_table(mods, guard)
-    rsum = sum((Fraction(1, n) for n in mods), Fraction(0))
+    rsum = Fraction(sum(L // n for n in mods), L)
     full = (1 << L) - 1
 
     if mode == "greedy":

@@ -70,7 +70,9 @@ def enumerate_moments(
     if W > guard_w:
         raise GuardExceeded(f"W(T) = {W} exceeds guard {guard_w}", estimate=W)
     mods = sorted(T.moduli, reverse=True)
-    L, masks = _class_mask_table(mods, density_guard)
+    # the walk reads only residue 0 of the largest modulus, unless it repeats
+    fixed = mods[0] if mods[1:2] != mods[:1] else None
+    L, masks = _class_mask_table(mods, density_guard, fixed)
     full = (1 << L) - 1
     choices = [masks[n][:1] if i == 0 else masks[n] for i, n in enumerate(mods)]
     weight = mods[0] if mods else 1

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import coversieve as cs
+from coversieve.bounds import _squarefree_divisors
 
 from conftest import pair_sums, random_system
 
@@ -113,8 +114,31 @@ class TestPairCorrectionBound:
             assert cert.lower_bound <= cs.exact_density(system).value
 
 
+def running_alpha(mods):
+    """prod (1 - 1/n) as a running Fraction product, the reference for alpha."""
+    out = Fraction(1)
+    for n in mods:
+        out *= Fraction(n - 1, n)
+    return out
+
+
+# moduli for the Moebius kernel's edge cases: omega up to 7 (30030 =
+# 2*3*5*7*11*13, 510510 = 30030*17), moduli above core._SPF_LIMIT that
+# factor by Miller-Rabin and Pollard rho, all-equal moduli, and modulus 1
+# first and last
+WIDE_MODULI = [
+    [30030, 510510, 2 * 510510, 3 * 30030, 7 * 510510, 17 * 30030, 6, 35, 11, 221],
+    [510510, 1021020, 30030, 60060, 19 * 23, 19 * 510510, 23],
+    [2 * 1000003, 1009 * 1013 * 3, 1000003, 999983 * 1000003, 1000003**2, 1013, 6, 9],
+    [1009 * 1013 * 3, 2 * 1000003, 1009 * 2, 1013 * 5, 3 * 1000003, 999983],
+    [12] * 7, [510510] * 4, [7] * 5, [1000003 * 2] * 3,
+    [1, 6, 10, 15, 4], [6, 10, 15, 4, 1], [1, 4, 1], [1], [1, 1], [],
+]
+WIDE_POOL = [30030, 510510, 2 * 1000003, 1009 * 1013 * 3, 1000003, 1, 2, 3, 4, 6, 17, 34]
+
+
 class TestPairKernelOracle:
-    """beta and both bound forms against the direct pair loop, exactly."""
+    """beta, alpha and both bound forms against direct references, exactly."""
 
     @staticmethod
     def systems():
@@ -125,6 +149,12 @@ class TestPairKernelOracle:
             mods = [rnd.randint(2, 40) for _ in range(rnd.randint(0, 30))]
             mods += [rnd.randint(2, 40)] * 2 + [1] * (len(mods) % 2)
             rnd.shuffle(mods)
+            yield cs.ResidueSystem.from_pairs((n, rnd.randrange(n)) for n in mods)
+        for mods in WIDE_MODULI:
+            yield cs.ResidueSystem.from_pairs((n, rnd.randrange(n)) for n in mods)
+        for _ in range(20):
+            # multiples of the pool, so that wide moduli share primes
+            mods = [rnd.choice(WIDE_POOL) * rnd.randint(1, 30) for _ in range(rnd.randint(1, 25))]
             yield cs.ResidueSystem.from_pairs((n, rnd.randrange(n)) for n in mods)
 
     def test_beta_and_plain_bound(self):
@@ -146,6 +176,34 @@ class TestPairKernelOracle:
             assert cert.components["beta"] == plain
             assert cert.components["refined_correction"] == refined
             assert cert.lower_bound == cs.alpha(system) - refined
+
+    def test_alpha_is_running_product(self):
+        for system in self.systems():
+            assert cs.alpha(system) == running_alpha([c.modulus for c in system.classes])
+
+    @pytest.mark.parametrize("Q", [3, 5])
+    def test_certificate_and_averaged_beta_per_group(self, Q):
+        rnd = random.Random(78 + Q)
+        for _ in range(15):
+            mods = [rnd.randint(1, 90) for _ in range(rnd.randint(1, 25))]
+            mods += [rnd.choice(mods)]
+            system = cs.ResidueSystem.from_pairs((n, rnd.randrange(n)) for n in mods)
+            dec = cs.decompose(system, Q)
+            cert = cs.positivity_certificate(system, Q)
+            bound = avg_beta = Fraction(0)
+            for g, audit in zip(dec.groups, cert.components["per_pattern"], strict=True):
+                sub = [c.modulus for c in g.subsystem.classes]
+                plain, _ = pair_sums(sub)
+                a = running_alpha(sub)
+                assert (audit["alpha"], audit["beta"]) == (a, plain)
+                bound += g.count * max(Fraction(0), a - plain)
+                avg_beta += g.count * plain
+            assert cert.lower_bound == bound / dec.M
+            assert cs.averaged_beta(system, Q).value == avg_beta / dec.M
+
+    def test_divisor_cache_is_bounded(self):
+        # one entry per distinct modulus seen; the bound caps its memory
+        assert _squarefree_divisors.cache_info().maxsize is not None
 
 
 class TestSmoothTailSum:

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -38,6 +39,17 @@ class TestResidueSystem:
     def test_shift(self):
         sys_ = cs.ResidueSystem.from_pairs([(5, 4)])
         assert sys_.shifted(3).pairs() == [(5, 2)]
+
+    def test_reciprocal_sum_is_the_fraction_sum(self):
+        rnd = random.Random(12)
+        for _ in range(80):
+            mods = [rnd.choice(divisors_of(rnd.choice([360, 5040, 30030])))
+                    for _ in range(rnd.randint(0, 12))]
+            mods += mods[:2] + [1] * rnd.randint(0, 2)  # repeats and modulus 1
+            rnd.shuffle(mods)
+            sys_ = cs.ResidueSystem.from_pairs((n, rnd.randrange(n)) for n in mods)
+            expected = sum((Fraction(1, n) for n in mods), Fraction(0))
+            assert sys_.reciprocal_sum() == expected
 
 
 class TestFactorize:

@@ -245,6 +245,8 @@ class TestDeltaMinus:
             greedy = cs.delta_minus(S, "greedy", guard=10**6)
             assert exact.value <= greedy.value <= cs.alpha(S)
             assert cs.exact_density(greedy.witness).value == greedy.value
+            rsum = sum((Fraction(1, n) for n in mods), Fraction(0))
+            assert exact.reciprocal_sum == greedy.reciprocal_sum == rsum
 
     def test_guard_signals(self):
         with pytest.raises(GuardExceeded):

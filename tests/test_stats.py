@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,19 @@ class TestEnumerateMoments:
     def test_empty_multiset(self):
         rep = cs.enumerate_moments(M())
         assert rep.mean == 1 and rep.variance == 0
+
+    def test_masks_of_the_fixed_modulus_not_built(self):
+        # the walk reads residue 0 of 200 only: the 199 masks of 199 plus a
+        # few more fit; all 200 shifted masks of 200 as well (433) do not
+        mask_bytes = 199 * 200 // 8
+        tracemalloc.start()
+        try:
+            rep = cs.enumerate_moments(M(199, 200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.mean == cs.expected_delta(M(199, 200))
+        assert peak < 250 * mask_bytes
 
 
 class TestPairFormula:
