@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    SEGMENT_SIZE,
     GuardExceeded,
     ResidueSystem,
     crt_coprime,
@@ -55,6 +56,31 @@ class GreedyTrace:
         return Fraction(self.final_uncovered_count, self.window)
 
 
+def _uncovered_blocks(window: int, chosen: dict[int, int]) -> list[np.ndarray]:
+    """Ascending positions in [0, window) that no class (n, r) of ``chosen``
+    covers, one array per SEGMENT_SIZE cells of the window (int32 while
+    every position fits)."""
+    dtype = np.int32 if window < 2**31 else np.int64
+    blocks = []
+    for lo in range(0, window, SEGMENT_SIZE):
+        width = min(SEGMENT_SIZE, window - lo)
+        unc = np.ones(width, dtype=bool)
+        for n, r in chosen.items():
+            unc[(r - lo) % n::n] = False
+        blocks.append(np.arange(lo, lo + width, dtype=dtype)[unc])
+    return blocks
+
+
+def _residues(positions: np.ndarray, j: int) -> np.ndarray:
+    """positions % j for nonnegative positions, in one new array.  numpy's
+    floor division by a scalar is several times faster than its remainder
+    (0.19 against 1.3 ms on 2^19 int32 values, numpy 2.4), so this form
+    takes about half the time of ``positions % j``."""
+    res = positions // j
+    res *= j
+    return np.subtract(positions, res, out=res)
+
+
 def greedy_cover(N: int, K: int, seed: int = 0, window: int | None = None) -> GreedyTrace:
     """Random residues on (N, 2N], then greedy choices on (2N, KN].
 
@@ -65,7 +91,9 @@ def greedy_cover(N: int, K: int, seed: int = 0, window: int | None = None) -> Gr
     already-chosen class of every divisor of j among the random moduli
     whenever any such class exists (smallest residue on ties).  Densities
     are measured as exact fractions of the window, so passing the full
-    period as the window makes every count exact.
+    period as the window makes every count exact.  The uncovered cells are
+    kept as ascending positions, block by block, so a greedy step costs
+    O(cells still uncovered) rather than O(window).
     """
     if N < 1 or K < 2:
         raise ValueError("require N >= 1 and K >= 2")
@@ -75,13 +103,11 @@ def greedy_cover(N: int, K: int, seed: int = 0, window: int | None = None) -> Gr
         raise ValueError("window too small: need window >= K*N")
 
     rng = np.random.default_rng(seed)
-    unc = np.ones(window, dtype=bool)
     chosen: dict[int, int] = {}
     for n in range(N + 1, 2 * N + 1):
-        r = int(rng.integers(0, n))
-        chosen[n] = r
-        unc[r::n] = False
-    after_random = int(unc.sum())
+        chosen[n] = int(rng.integers(0, n))
+    blocks = _uncovered_blocks(window, chosen)
+    after_random = sum(b.size for b in blocks)
 
     steps = []
     for j in range(2 * N + 1, K * N + 1):
@@ -91,22 +117,24 @@ def greedy_cover(N: int, K: int, seed: int = 0, window: int | None = None) -> Gr
             admissible[chosen[d] % d::d] = False
         f = int(admissible.sum())
 
-        nrows = window // j
-        counts = unc[: nrows * j].reshape(nrows, j).sum(axis=0, dtype=np.int64)
-        tail = unc[nrows * j :]
-        counts[: tail.size] += tail
+        counts = np.zeros(j, dtype=np.int64)
+        for b in blocks:
+            counts += np.bincount(_residues(b, j), minlength=j)
         if f > 0:
             counts[~admissible] = -1
         r = int(np.argmax(counts))  # first maximum = smallest residue
         chosen[j] = r
-        unc[r::j] = False
-        steps.append(GreedyStep(j, divisors, f, r, int(unc.sum())))
+        # residues are recomputed rather than kept from the count: holding
+        # them for every block doubled the live arrays, and the heap they
+        # fragmented raised the next job's peak memory by up to 16 MiB
+        blocks = [b[_residues(b, j) != r] for b in blocks]
+        steps.append(GreedyStep(j, divisors, f, r, sum(b.size for b in blocks)))
 
     system = ResidueSystem.from_pairs(sorted(chosen.items()))
     return GreedyTrace(
         N, K, window, seed,
         tuple((n, chosen[n]) for n in range(N + 1, 2 * N + 1)),
-        after_random, tuple(steps), system, int(unc.sum()),
+        after_random, tuple(steps), system, sum(b.size for b in blocks),
     )
 
 

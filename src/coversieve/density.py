@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -125,8 +126,9 @@ def is_exact_cover(system: ResidueSystem) -> ExactCoverCheck:
 
     A system partitions the integers iff its class densities sum to exactly
     1 and all pairs are disjoint.  Disjointness is checked per modulus pair
-    (residues compared modulo the gcd), which keeps large constructed
-    systems cheap.
+    (residues compared modulo the gcd) as one set-disjointness test: each
+    modulus's residues are reduced once per gcd it meets, which keeps large
+    constructed systems cheap.
     """
     total = system.reciprocal_sum()
     if total != 1:
@@ -146,10 +148,17 @@ def is_exact_cover(system: ResidueSystem) -> ExactCoverCheck:
                 )
             seen[c.residue] = c
 
+    @cache  # one set per (modulus, gcd) however many pairs share it
+    def residues_mod(n: int, g: int) -> set[int]:
+        return {c.residue % g for c in by_mod[n]}
+
     mods = sorted(by_mod)
     for i in range(len(mods)):
         for j in range(i + 1, len(mods)):
             g = gcd(mods[i], mods[j])
+            if residues_mod(mods[i], g).isdisjoint(residues_mod(mods[j], g)):
+                continue
+            # the first intersecting pair: name the classes as the scan meets them
             left: dict[int, ResidueClass] = {}
             for c in by_mod[mods[i]]:
                 left.setdefault(c.residue % g, c)
@@ -260,7 +269,23 @@ def delta_minus(
     if not mods:
         empty = ResidueSystem(())
         return DeltaMinusResult(Fraction(1), empty, True, Fraction(0))
-    L, masks = _class_mask_table(mods, guard)
+    if mode not in ("exhaustive", "greedy"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+    order = sorted(mods, reverse=True)
+    fixed = None
+    if mode == "exhaustive":
+        # refuse before any mask is built: the period guard as the table
+        # would apply it, then the residue-choice guard
+        lcm_guarded(mods, guard)
+        if prod(mods) > guard:
+            raise GuardExceeded(
+                f"residue-choice space {prod(mods)} exceeds guard {guard}",
+                estimate=prod(mods),
+            )
+        # the search reads only residue 0 of the largest modulus, unless it repeats
+        fixed = order[0] if order[1:2] != order[:1] else None
+    L, masks = _class_mask_table(mods, guard, fixed)
     rsum = Fraction(sum(L // n for n in mods), L)
     full = (1 << L) - 1
 
@@ -278,16 +303,6 @@ def delta_minus(
         value = Fraction(uncovered.bit_count(), L)
         return DeltaMinusResult(value, ResidueSystem.from_pairs(chosen), False, rsum)
 
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    if prod(mods) > guard:
-        raise GuardExceeded(
-            f"residue-choice space {prod(mods)} exceeds guard {guard}",
-            estimate=prod(mods),
-        )
-
-    order = sorted(mods, reverse=True)
     # residual-removal capacity of the tail of the search, as counts over [0, L)
     tail_capacity = [0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):

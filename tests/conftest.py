@@ -11,7 +11,11 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
 
+import numpy as np
+
 import coversieve as cs
+from coversieve.construct import GreedyStep, GreedyTrace
+from coversieve.density import ExactCoverCheck
 
 # lcms <= 1e4 with rich divisor structure; random systems draw moduli
 # from the divisors of one of these
@@ -163,3 +167,80 @@ def exact_cover_exists(mods: list[int]) -> bool:
         return False
 
     return bt(0)
+
+
+def naive_greedy(N: int, K: int, seed: int, window: int) -> GreedyTrace:
+    """greedy_cover over one bool array of the whole window.
+
+    Every step sums the window reshaped to rows of j cells, so its cost is
+    the window size, not what is still uncovered; the reference for
+    greedy_cover's per-block positions.
+    """
+    rng = np.random.default_rng(seed)
+    unc = np.ones(window, dtype=bool)
+    chosen: dict[int, int] = {}
+    for n in range(N + 1, 2 * N + 1):
+        r = int(rng.integers(0, n))
+        chosen[n] = r
+        unc[r::n] = False
+    after_random = int(unc.sum())
+
+    steps = []
+    for j in range(2 * N + 1, K * N + 1):
+        divisors = tuple(d for d in range(N + 1, 2 * N + 1) if j % d == 0)
+        admissible = np.ones(j, dtype=bool)
+        for d in divisors:
+            admissible[chosen[d] % d::d] = False
+        f = int(admissible.sum())
+
+        nrows = window // j
+        counts = unc[: nrows * j].reshape(nrows, j).sum(axis=0, dtype=np.int64)
+        tail = unc[nrows * j :]
+        counts[: tail.size] += tail
+        if f > 0:
+            counts[~admissible] = -1
+        r = int(np.argmax(counts))
+        chosen[j] = r
+        unc[r::j] = False
+        steps.append(GreedyStep(j, divisors, f, r, int(unc.sum())))
+
+    return GreedyTrace(
+        N, K, window, seed,
+        tuple((n, chosen[n]) for n in range(N + 1, 2 * N + 1)),
+        after_random, tuple(steps),
+        cs.ResidueSystem.from_pairs(sorted(chosen.items())), int(unc.sum()),
+    )
+
+
+def naive_is_exact_cover(system: cs.ResidueSystem) -> ExactCoverCheck:
+    """is_exact_cover with a fresh residue dict for every modulus pair; the
+    reference for the per-(modulus, gcd) residue sets, down to which pair
+    is reported."""
+    total = sum((Fraction(1, c.modulus) for c in system.classes), Fraction(0))
+    if total != 1:
+        return ExactCoverCheck(False, total, reason=f"density sum is {total}, not 1")
+
+    by_mod: dict[int, list[cs.ResidueClass]] = {}
+    for c in system.classes:
+        by_mod.setdefault(c.modulus, []).append(c)
+    for group in by_mod.values():
+        seen: dict[int, cs.ResidueClass] = {}
+        for c in group:
+            if c.residue in seen:
+                return ExactCoverCheck(False, total, failing_pair=(seen[c.residue], c),
+                                       reason="repeated class")
+            seen[c.residue] = c
+
+    mods = sorted(by_mod)
+    for i in range(len(mods)):
+        for j in range(i + 1, len(mods)):
+            g = gcd(mods[i], mods[j])
+            left: dict[int, cs.ResidueClass] = {}
+            for c in by_mod[mods[i]]:
+                left.setdefault(c.residue % g, c)
+            for c in by_mod[mods[j]]:
+                hit = left.get(c.residue % g)
+                if hit is not None:
+                    return ExactCoverCheck(False, total, failing_pair=(hit, c),
+                                           reason="classes intersect")
+    return ExactCoverCheck(True, total)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -232,3 +233,24 @@ class TestFormatsAndErrors:
     def test_rationals_never_floats(self, capsys, opening_file):
         report = invoke_json(capsys, "density", "--input", opening_file)
         assert isinstance(report["result"]["delta"], str)
+
+
+class TestReportBytes:
+    """sha256 of the full stdout, recorded before greedy_cover and
+    is_exact_cover were rewritten; the reports must stay byte for byte."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("greedy", "--N", "4", "--K", "20", "--window", "4000000", "--seed", "1"),
+         "4b7694bfae3a080625dd05b2f497e1b128000728b6d9b90354c026f2ea641122"),
+        (("construct-exact", "--J", "3"),
+         "3a5a15ae62cef4c1accbbb7400593b3dc82ed4563758568b724f3544c97566db"),
+        (("verify-exact-cover", "--input", "intersect.json"),
+         "0654dd0389a433a7c07a5f3787f333bdc7c62bee0adf002c60af3925a7dd5ace"),
+    ])
+    def test_stdout_digest(self, capsys, monkeypatch, tmp_path, argv, digest):
+        # the report echoes the input path, so it is given relative to tmp_path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "intersect.json").write_text(json.dumps({"classes": [[2, 0], [4, 1], [4, 2]]}))
+        code, out = invoke(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 
 import coversieve as cs
-from coversieve.core import GuardExceeded
+from coversieve import construct
+from coversieve.core import SEGMENT_SIZE, GuardExceeded
 from coversieve.construct import GreedyStep, GreedyTrace
 from coversieve.decompose import SmoothCoverError
+
+from conftest import naive_greedy
 
 
 class TestGreedyCover:
@@ -60,6 +63,39 @@ class TestGreedyCover:
     def test_final_fraction_exact(self):
         trace = cs.greedy_cover(2, 4, seed=3, window=1000)
         assert trace.final_uncovered_fraction == Fraction(trace.final_uncovered_count, 1000)
+
+
+class TestGreedyAgainstOracle:
+    """greedy_cover's per-block uncovered positions against one bool array
+    of the whole window: the whole trace must be equal, from the random
+    residues through every step to the final count."""
+
+    @pytest.mark.parametrize("N, K, seed, window", [
+        (3, 5, 0, 15),  # window == K*N
+        (4, 20, 1, 80),
+        (2, 6, 2, 5000),  # below one block
+        (4, 20, 3, 777_777),
+        (2, 6, 4, SEGMENT_SIZE - 1),
+        (2, 6, 5, SEGMENT_SIZE),
+        (2, 6, 6, SEGMENT_SIZE + 1),
+        (3, 8, 7, 3 * SEGMENT_SIZE + 12_345),
+        (4, 50, 0, 10**7),  # the greedy workload on a 1e7 window (ROADMAP aim 1)
+    ])
+    def test_trace_identical(self, N, K, seed, window):
+        assert cs.greedy_cover(N, K, seed, window) == naive_greedy(N, K, seed, window)
+
+    @pytest.mark.parametrize("width", [1, 7, 64])
+    def test_block_widths(self, monkeypatch, width):
+        monkeypatch.setattr(construct, "SEGMENT_SIZE", width)
+        for N, K, seed, window in [(2, 3, 5, 9), (2, 4, 8, 8), (3, 5, 1, 64), (3, 6, 2, 127),
+                                   (4, 8, 3, 449), (5, 10, 4, 1000)]:
+            assert cs.greedy_cover(N, K, seed, window) == naive_greedy(N, K, seed, window)
+
+    def test_oracle_steps_reach_zero(self):
+        # a fully covered window leaves empty blocks behind; the trace still matches
+        trace = naive_greedy(2, 6, 0, 12)
+        assert trace.final_uncovered_count == 0
+        assert cs.greedy_cover(2, 6, 0, 12) == trace
 
 
 class TestGreedyStepInvariant:

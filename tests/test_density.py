@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -12,6 +14,7 @@ from coversieve.density import NotCoprimeError
 from conftest import (
     exact_cover_exists,
     naive_density,
+    naive_is_exact_cover,
     naive_witness,
     random_system,
     unit_sum_distinct_sets,
@@ -165,6 +168,64 @@ class TestIsExactCover:
             assert bool(cs.is_exact_cover(system)) == expected
 
 
+def _split_cover(rnd: random.Random) -> list[tuple[int, int]]:
+    """An exact cover by repeated splitting: (n, r) becomes the k classes
+    (kn, r + n*i), i < k, which partition it."""
+    pairs = [(1, 0)]
+    for _ in range(rnd.randint(1, 6)):
+        n, r = pairs.pop(rnd.randrange(len(pairs)))
+        k = rnd.choice([2, 2, 3, 5])
+        pairs += [(k * n, r + n * i) for i in range(k)]
+    rnd.shuffle(pairs)
+    return pairs
+
+
+def _oracle_systems():
+    """Exact covers, the same with one residue moved or one class repeated,
+    and seeded random systems whose reciprocal sum is 1."""
+    rnd = random.Random(24)
+    for J in (1, 2, 3):
+        pairs = cs.exact_cover_construct(J).system.pairs()
+        yield f"J{J}", pairs
+        k = rnd.randrange(len(pairs))
+        n, r = pairs[k]
+        used = {s for m, s in pairs if m == n}
+        free = next((s for s in range(n) if s not in used), None)
+        if free is not None:  # J <= 2 uses every residue of one modulus
+            yield f"J{J}-moved", pairs[:k] + [(n, free)] + pairs[k + 1:]
+        yield f"J{J}-appended", pairs + [pairs[k]]
+        # a repeated class in place of another of the same modulus keeps the sum 1
+        other = next(i for i, (m, _) in enumerate(pairs) if m == n and i != k)
+        yield f"J{J}-repeated", pairs[:other] + [(n, r)] + pairs[other + 1:]
+    # two classes mod 4 meet (6, 2) mod gcd 2: the first of them is reported
+    yield "evens-odds-moved", [(4, 0), (4, 2), (6, 1), (6, 3), (6, 2)]
+    for i in range(50):
+        pairs = _split_cover(rnd)
+        if i % 2:
+            k = rnd.randrange(len(pairs))
+            n, _ = pairs[k]
+            pairs[k] = (n, rnd.randrange(n))
+        yield f"random-{i}", pairs
+
+
+class TestIsExactCoverAgainstOracle:
+    """The per-(modulus, gcd) residue sets against the per-pair dict loop:
+    same verdict, reciprocal sum, reason and reported pair."""
+
+    @pytest.mark.parametrize("name, pairs", list(_oracle_systems()))
+    def test_check_identical(self, name, pairs):
+        system = cs.ResidueSystem.from_pairs(pairs)
+        assert cs.is_exact_cover(system) == naive_is_exact_cover(system)
+
+    def test_oracle_cases_reach_every_outcome(self):
+        outcomes = Counter()
+        for _, pairs in _oracle_systems():
+            reason = naive_is_exact_cover(cs.ResidueSystem.from_pairs(pairs)).reason
+            outcomes[reason and reason.split(" is ")[0]] += 1
+        assert set(outcomes) == {None, "classes intersect", "repeated class", "density sum"}
+        assert min(outcomes[None], outcomes["classes intersect"]) >= 10
+
+
 class TestDeltaPlus:
     def test_examples(self):
         assert cs.delta_plus(cs.ModuliSet.from_iterable([2, 3])) == Fraction(1, 3)
@@ -253,6 +314,36 @@ class TestDeltaMinus:
             cs.delta_minus(cs.ModuliSet.from_iterable([101, 103, 107, 109]), guard=10**4)
         with pytest.raises(GuardExceeded):
             cs.delta_minus(cs.ModuliSet.from_iterable([210, 11]), "greedy", guard=100)
+
+    def test_choice_guard_refuses_before_masks(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("mask table built before the guard refused")
+
+        monkeypatch.setattr(density, "_class_mask_table", no_table)
+        with pytest.raises(GuardExceeded, match="residue-choice space"):
+            cs.delta_minus(cs.ModuliSet.from_iterable(range(2, 17)))
+        with pytest.raises(GuardExceeded, match="scan period"):
+            cs.delta_minus(cs.ModuliSet.from_iterable([101, 103, 107, 109]), guard=10**4)
+
+    @pytest.mark.parametrize("mods, masks_of_largest", [
+        ([4, 6, 9], 1),  # the search fixes residue 0 of 9
+        ([4, 9, 6, 9], 9),  # 9 repeats: its second copy walks every residue
+    ])
+    def test_exhaustive_builds_one_mask_of_unique_largest(self, monkeypatch, mods, masks_of_largest):
+        tables = []
+        build = density._class_mask_table
+
+        def spy(*args):
+            tables.append(build(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(density, "_class_mask_table", spy)
+        result = cs.delta_minus(cs.ModuliSet.from_iterable(mods))
+        assert len(tables[0][1][9]) == masks_of_largest
+        assert result.value == min(
+            naive_density(cs.ResidueSystem.from_pairs(zip(mods, rs)))
+            for rs in itertools.product(*(range(n) for n in mods))
+        )
 
 
 class TestUncoveredWitness:
