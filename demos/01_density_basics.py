@@ -44,5 +44,5 @@ print(f"\nModuli {{4, 6}}: delta- = {best.value} (exhaustive), "
 
 print("\nFor pairwise coprime moduli the density is forced:")
 coprime = cs.ResidueSystem.from_pairs([(2, 0), (3, 1), (5, 2), (7, 3)])
-print(f"  {coprime}: product {cs.density_coprime(coprime)} "
+print(f"  {coprime}: product {cs.alpha(coprime)} "
       f"= scan {cs.exact_density(coprime).value}")

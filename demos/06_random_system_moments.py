@@ -13,7 +13,7 @@ import coversieve as cs
 T = cs.ModuliSet.from_iterable([2, 4])
 rep = cs.enumerate_moments(T)
 print(f"T = {{2, 4}}: all {T.product()} systems enumerated")
-print(f"  mean {rep.mean} (= product formula {cs.expected_delta(T)}), "
+print(f"  mean {rep.mean} (= product formula {cs.alpha(T)}), "
       f"second moment {rep.second_moment}, variance {rep.variance}")
 
 print("\nPair-correlation formula vs enumeration (exact equality):")
@@ -28,7 +28,7 @@ for mods in ((3, 4), (3, 9), (4, 6), (4, 6, 9), (5, 10, 15)):
 print("\nSeeded sampling where enumeration is hopeless:")
 mods = [33, 35, 36, 39, 40, 42, 44, 45, 48, 52, 55, 56, 60]
 T = cs.ModuliSet.from_iterable(mods)
-exact_mean = cs.expected_delta(T)
+exact_mean = cs.alpha(T)
 print(f"  13 moduli in (30, 60], W(T) = {T.product():.3e} systems")
 for trials in (250, 1000, 4000):
     rep = cs.sample_moments(T, trials, seed=6)

@@ -39,7 +39,6 @@ from .core import (
     ResidueSystem,
     crt_coprime,
     factorize,
-    largest_prime_factor,
     lcm_guarded,
     primes_in,
     smooth_split,
@@ -57,18 +56,13 @@ from .decompose import (
     decomposition_identity,
     density_decomposed,
     positivity_certificate,
-    suggest_Q,
 )
 from .density import (
     DeltaMinusResult,
     DensityReport,
     ExactCoverCheck,
-    NotCoprimeError,
-    classes_disjoint,
     delta_minus,
     delta_plus,
-    density_coprime,
-    enumerate_residue_choices,
     exact_density,
     is_exact_cover,
     uncovered_witness,
@@ -78,7 +72,6 @@ from .stats import (
     VarianceScanReport,
     VarianceScanRow,
     enumerate_moments,
-    expected_delta,
     pair_formula_moments,
     sample_moments,
     variance_bound_scan,

@@ -32,7 +32,6 @@ from .construct import (
 from .core import GuardExceeded, ModuliSet, ResidueSystem
 from .decompose import (
     DEFAULT_M_GUARD,
-    SmoothCoverError,
     decompose,
     decomposition_identity,
     density_decomposed,
@@ -40,7 +39,6 @@ from .decompose import (
 )
 from .density import (
     DEFAULT_CELL_GUARD,
-    NotCoprimeError,
     delta_minus,
     delta_plus,
     exact_density,
@@ -459,8 +457,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, NotCoprimeError, SmoothCoverError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # includes SmoothCoverError, JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -172,24 +172,34 @@ class BlockSupplyResult:
     holds: bool
 
 
+# X_8 = 9^9 is the last level bound under this sieve limit
+SUPPLY_SIEVE_LIMIT = 10**9
+# J = 4 already builds on the order of 1e5 classes
+EXACT_COVER_MAX_J = 4
+
+
 def _block_bound(j: int) -> int:
     return (j + 1) ** (j + 1)
 
 
-def block_supply_check(j: int, sieve_limit: int = 10**9) -> BlockSupplyResult:
+def _block_supply(lo: int, hi: int) -> int:
+    """sum of floor(hi / p) over the primes p in (lo, hi]."""
+    return sum(int(np.sum(hi // block)) for block in _prime_segments(lo, hi))
+
+
+def block_supply_check(j: int) -> BlockSupplyResult:
     """Exact check of the prime-block supply inequality at level j.
 
     Sums floor(X_j / p) over primes in (X_{j-1}, X_j] with X_j =
-    (j+1)^(j+1), by segmented sieve.  j <= 8 keeps X_j under 1e9.
+    (j+1)^(j+1), by segmented sieve.  j <= 8 keeps X_j under
+    SUPPLY_SIEVE_LIMIT.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
     lo, hi = _block_bound(j - 1), _block_bound(j)
-    if hi > sieve_limit:
+    if hi > SUPPLY_SIEVE_LIMIT:
         raise GuardExceeded(f"X_{j} = {hi} exceeds sieve limit", estimate=hi)
-    lhs = 0
-    for block in _prime_segments(lo, hi):
-        lhs += int(np.sum(hi // block))
+    lhs = _block_supply(lo, hi)
     return BlockSupplyResult(j, lhs, lo, lhs >= lo)
 
 
@@ -200,10 +210,7 @@ def minimal_block_schedule(J: int) -> list[int]:
     for _ in range(J):
         prev = xs[-1]
         x = prev + 1
-        while True:
-            supply = sum(x // p for p in primes_in(prev, x))
-            if supply >= prev:
-                break
+        while _block_supply(prev, x) < prev:
             x += 1
         xs.append(x)
     return xs
@@ -219,9 +226,7 @@ class ExactCoverPlan:
     system: ResidueSystem
 
 
-def exact_cover_construct(
-    J: int, ceiling: int = 4, minimal_schedule: bool = False
-) -> ExactCoverPlan:
+def exact_cover_construct(J: int, minimal_schedule: bool = False) -> ExactCoverPlan:
     """Exact covering system of squarefree moduli, all past a prescribed floor.
 
     Starts from the two classes mod 2 and replaces pairs level by level:
@@ -230,13 +235,13 @@ def exact_cover_construct(
     replacing each of its floor(X_j / q) pairs (n, r) by the q pairs
     (nq, r + n*mu).  Each replacement splits a class into an exact
     partition, so exactness is preserved; the block-supply inequality
-    guarantees the primes never run out.  J = 4 already produces on the
-    order of 1e5 classes, hence the ceiling.
+    guarantees the primes never run out.  J above EXACT_COVER_MAX_J raises
+    GuardExceeded.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
-    if J > ceiling:
-        raise GuardExceeded(f"J = {J} exceeds ceiling {ceiling}", estimate=J)
+    if J > EXACT_COVER_MAX_J:
+        raise GuardExceeded(f"J = {J} exceeds ceiling {EXACT_COVER_MAX_J}", estimate=J)
     xs = minimal_block_schedule(J) if minimal_schedule else [_block_bound(j) for j in range(J + 1)]
     blocks = [tuple(primes_in(xs[j - 1], xs[j])) for j in range(1, J + 1)]
 
@@ -278,7 +283,6 @@ class PrimeProductStats:
     sigma_ratio: Fraction  # sigma(H)/H = prod (1 + 1/p), exact
     divisor_count: int | None = None
     alpha_all_divisors: float | None = None  # prod over d | H, d > 1 of (1 - 1/d)
-    alpha_exact: Fraction | None = None
     beta_upper_bound: Fraction | None = None  # (sigma(H)/H)^2 * sum_{d|H, d>1} 1/d^2
 
 
@@ -286,14 +290,13 @@ def prime_product_moduli(
     N: int,
     full_divisor_set: bool = False,
     guard: int = 1 << 20,
-    exact_alpha: bool = False,
 ) -> PrimeProductStats:
     """Primes in (exp(sqrt(log N)) log N, N] and the divisor-set statistics.
 
     H is the product of those primes.  With full_divisor_set, the residue
     system on all divisors d > 1 of H is profiled: alpha over the 2^k - 1
-    divisors (as a log-sum float; exactly on request, the rational has
-    enormous height) and the finite pair-sum bound
+    divisors (as a log-sum float: the exact rational has enormous height)
+    and the finite pair-sum bound
     beta <= (sigma(H)/H)^2 * sum_{d | H, d > 1} 1/d^2, exact because every
     d^2 divides H^2.  For suitable N the alpha value dwarfs the beta bound,
     which is what makes these systems provably non-covering.
@@ -320,22 +323,11 @@ def prime_product_moduli(
     divisors = sorted(divisors)[1:]  # drop d = 1
 
     log_alpha = sum(math.log1p(-1.0 / d) for d in divisors)
-    a_exact = None
-    if exact_alpha:
-        bits = sum(d.bit_length() for d in divisors)
-        if bits > 10**6:
-            raise GuardExceeded(
-                f"exact alpha needs ~{bits} bits", estimate=bits
-            )
-        a_exact = Fraction(
-            math.prod(d - 1 for d in divisors), math.prod(divisors)
-        )
     inv_sq = sum(Fraction(1, d * d) for d in divisors)
     return PrimeProductStats(
         N, threshold, ps, sigma_ratio,
         divisor_count=len(divisors),
         alpha_all_divisors=math.exp(log_alpha),
-        alpha_exact=a_exact,
         beta_upper_bound=sigma_ratio * sigma_ratio * inv_sq,
     )
 

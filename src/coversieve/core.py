@@ -57,12 +57,6 @@ class ResidueClass:
             raise ValueError(f"modulus must be >= 1, got {self.modulus}")
         object.__setattr__(self, "residue", self.residue % self.modulus)
 
-    def contains(self, x: int) -> bool:
-        return x % self.modulus == self.residue
-
-    def density(self) -> Fraction:
-        return Fraction(1, self.modulus)
-
     def __str__(self):
         return f"{self.residue} (mod {self.modulus})"
 
@@ -134,12 +128,6 @@ class ModuliSet:
     def distinct(self) -> bool:
         return len(set(self.moduli)) == len(self.moduli)
 
-    def counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for n in self.moduli:
-            out[n] = out.get(n, 0) + 1
-        return out
-
     def product(self) -> int:
         return math.prod(self.moduli)
 
@@ -156,19 +144,9 @@ class Factorization:
 
     pairs: tuple[tuple[int, int], ...]
 
-    def value(self) -> int:
-        return math.prod(p**e for p, e in self.pairs)
-
     def largest_prime(self) -> int:
         """P(n); the empty factorization (n = 1) yields the sentinel 0."""
         return self.pairs[-1][0] if self.pairs else 0
-
-    def least_prime(self) -> float:
-        """P^-(n); the empty factorization (n = 1) yields +inf."""
-        return self.pairs[0][0] if self.pairs else math.inf
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -266,11 +244,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(tuple(sorted(out.items())))
 
 
-def largest_prime_factor(n: int) -> int:
-    """P(n) with P(1) = 0, so that modulus 1 is Q-smooth for every Q."""
-    return factorize(n).largest_prime()
-
-
 def smooth_split(n: int, Q: float) -> tuple[int, int]:
     """Split n into (largest Q-smooth divisor, rough cofactor).
 
@@ -291,7 +264,7 @@ def smooth_split(n: int, Q: float) -> tuple[int, int]:
     return smooth, rough
 
 
-def _prime_segments(lo: int, hi: int, segment: int = SEGMENT_SIZE) -> Iterator[np.ndarray]:
+def _prime_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
     """Yield int64 arrays of the primes in (lo, hi], in ascending blocks."""
     if hi <= max(lo, 1):
         return
@@ -305,7 +278,7 @@ def _prime_segments(lo: int, hi: int, segment: int = SEGMENT_SIZE) -> Iterator[n
 
     start = max(lo + 1, 2)
     while start <= hi:
-        end = min(start + segment, hi + 1)
+        end = min(start + SEGMENT_SIZE, hi + 1)
         seg = np.ones(end - start, dtype=bool)
         for p in base_primes:
             p = int(p)

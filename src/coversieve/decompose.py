@@ -20,13 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .bounds import BoundCertificate, alpha, beta
-from .core import ResidueSystem, factorize, is_prime, lcm_guarded, smooth_split
+from .core import ResidueSystem, factorize, lcm_guarded, smooth_split
 from .density import DEFAULT_CELL_GUARD, DensityReport, exact_density
 
 DEFAULT_M_GUARD = 10**7
+# the averaged-alpha floor is a float power, so it is met up to this slack
+ALPHA_FLOOR_SLACK = 1e-12
 
 
 class SmoothCoverError(ValueError):
@@ -59,14 +61,6 @@ class Decomposition:
     splits: tuple[tuple[int, int], ...]  # (smooth, rough) per class
     groups: tuple[SubsystemGroup, ...]
     smooth_subsystem: ResidueSystem  # classes whose modulus is Q-smooth
-
-    def subsystem_at(self, h: int) -> ResidueSystem:
-        """C_h built directly from the membership rule (for spot checks)."""
-        pairs = set()
-        for c, (s, rough) in zip(self.system.classes, self.splits):
-            if h % s == c.residue % s:
-                pairs.add((rough, c.residue % rough))
-        return ResidueSystem.from_pairs(sorted(pairs))
 
 
 def _membership_groups(splits, residues, M):
@@ -228,14 +222,13 @@ def averaged_alpha_floor(
     Q: float,
     guard_m: int = DEFAULT_M_GUARD,
     density_guard: int = DEFAULT_CELL_GUARD,
-    slack: float = 1e-12,
 ) -> AveragedAlpha:
     """Average of alpha over subsystems against its proved floor.
 
     Requires the Q-smooth classes C' to leave something uncovered; when
     they cover everything the floor does not exist and SmoothCoverError is
     raised.  The floor has an irrational exponent, so it is evaluated in
-    floating point and compared with a small slack.
+    floating point and compared with slack ALPHA_FLOOR_SLACK.
     """
     dec = decompose(system, Q, guard_m)
     d_smooth = exact_density(dec.smooth_subsystem, density_guard).value
@@ -246,7 +239,7 @@ def averaged_alpha_floor(
     ) / dec.M
     exponent = (1 + 1 / Q) / float(d_smooth)
     floor = float(alpha(system)) ** exponent
-    return AveragedAlpha(avg, floor, float(avg) >= floor - slack, d_smooth)
+    return AveragedAlpha(avg, floor, float(avg) >= floor - ALPHA_FLOOR_SLACK, d_smooth)
 
 
 def positivity_certificate(
@@ -277,9 +270,3 @@ def positivity_certificate(
         {"Q": Q, "M": dec.M, "pattern_count": len(dec.groups), "per_pattern": audit},
     )
 
-
-def suggest_Q(system: ResidueSystem) -> int:
-    """Largest prime at most sqrt(max modulus), a serviceable default for Q."""
-    mods = [c.modulus for c in system.classes]
-    top = isqrt(max(mods, default=4))
-    return next((q for q in range(top, 1, -1) if is_prime(q)), 2)

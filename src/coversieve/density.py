@@ -10,11 +10,11 @@ segment at memory speed; the least uncovered integer is found with
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
+from typing import Collection
 
 import numpy as np
 
@@ -30,10 +30,6 @@ from .core import (
 DEFAULT_CELL_GUARD = 10**9
 
 
-class NotCoprimeError(ValueError):
-    """Raised when an operation requires pairwise coprime moduli."""
-
-
 @dataclass(frozen=True)
 class DensityReport:
     """An exactly computed uncovered density with its provenance.
@@ -44,7 +40,7 @@ class DensityReport:
 
     value: Fraction
     period: int
-    method: str  # 'lcm-scan' | 'coprime-product' | 'decomposition'
+    method: str  # 'lcm-scan' | 'decomposition'
     uncovered_count: int
 
 
@@ -90,24 +86,6 @@ def uncovered_witness(system: ResidueSystem, guard: int = DEFAULT_CELL_GUARD) ->
         if at >= 0:
             return lo + at
     return None
-
-
-def density_coprime(system: ResidueSystem) -> Fraction:
-    """Product formula for pairwise coprime moduli: prod (1 - 1/n)."""
-    mods = [c.modulus for c in system.classes]
-    for i in range(len(mods)):
-        for j in range(i + 1, len(mods)):
-            if gcd(mods[i], mods[j]) != 1:
-                raise NotCoprimeError(
-                    f"moduli {mods[i]} and {mods[j]} share a factor"
-                )
-    return prod((Fraction(n - 1, n) for n in mods), start=Fraction(1))
-
-
-def classes_disjoint(c1: ResidueClass, c2: ResidueClass) -> bool:
-    """True iff the classes share no integer: r1 != r2 mod gcd(n1, n2)."""
-    g = gcd(c1.modulus, c2.modulus)
-    return (c1.residue - c2.residue) % g != 0
 
 
 @dataclass(frozen=True)
@@ -227,13 +205,14 @@ class DeltaMinusResult:
 
 
 def _class_mask_table(
-    moduli: list[int], guard: int, fixed: int | None = None
+    moduli: list[int], guard: int, base_only: Collection[int] = ()
 ) -> tuple[int, dict[int, list[int]]]:
     """Guarded period L = lcm(moduli) and, per distinct n, its class bitmasks.
 
-    Mask r of n has the bits x in [0, L) with x = r (mod n).  For n equal
-    to ``fixed`` only mask 0 is built: a walk that fixes the residue of
-    that modulus by translation invariance reads no other.
+    Mask r of n has the bits x in [0, L) with x = r (mod n).  For n in
+    ``base_only`` only mask 0 is built, for callers that read no other: a
+    walk that fixes the residue of that modulus by translation invariance,
+    or the greedy peel, which shifts the uncovered set instead of the mask.
     """
     L = lcm_guarded(moduli, guard)
     table = {}
@@ -243,7 +222,7 @@ def _class_mask_table(
             raw[x >> 3] |= 1 << (x & 7)
         base = int.from_bytes(raw, "little")
         # n | L, so the shifted pattern for residue r stays inside [0, L)
-        table[n] = [base] if n == fixed else [base << r for r in range(n)]
+        table[n] = [base] if n in base_only else [base << r for r in range(n)]
     return L, table
 
 
@@ -273,7 +252,8 @@ def delta_minus(
         raise ValueError(f"unknown mode {mode!r}")
 
     order = sorted(mods, reverse=True)
-    fixed = None
+    # greedy reads only mask 0 of every modulus
+    base_only = set(mods)
     if mode == "exhaustive":
         # refuse before any mask is built: the period guard as the table
         # would apply it, then the residue-choice guard
@@ -284,8 +264,8 @@ def delta_minus(
                 estimate=prod(mods),
             )
         # the search reads only residue 0 of the largest modulus, unless it repeats
-        fixed = order[0] if order[1:2] != order[:1] else None
-    L, masks = _class_mask_table(mods, guard, fixed)
+        base_only = {order[0]} if order[1:2] != order[:1] else set()
+    L, masks = _class_mask_table(mods, guard, base_only)
     rsum = Fraction(sum(L // n for n in mods), L)
     full = (1 << L) - 1
 
@@ -293,13 +273,15 @@ def delta_minus(
         uncovered = full
         chosen: list[tuple[int, int]] = []
         for n in mods:
+            base = masks[n][0]
             best_r, best_gain = 0, -1
             for r in range(n):
-                gain = (uncovered & masks[n][r]).bit_count()
+                # the bits of class r, shifted down onto the bits of class 0
+                gain = ((uncovered >> r) & base).bit_count()
                 if gain > best_gain:
                     best_r, best_gain = r, gain
             chosen.append((n, best_r))
-            uncovered &= ~masks[n][best_r]
+            uncovered &= ~(base << best_r)
         value = Fraction(uncovered.bit_count(), L)
         return DeltaMinusResult(value, ResidueSystem.from_pairs(chosen), False, rsum)
 
@@ -332,9 +314,3 @@ def delta_minus(
     witness = ResidueSystem.from_pairs(zip(order, best_choice))
     return DeltaMinusResult(Fraction(best_count, L), witness, True, rsum)
 
-
-def enumerate_residue_choices(S: ModuliSet):
-    """All residue systems with moduli S, in lexicographic residue order."""
-    mods = list(S.moduli)
-    for rs in itertools.product(*(range(n) for n in mods)):
-        yield ResidueSystem.from_pairs(zip(mods, rs))

@@ -35,11 +35,6 @@ class MomentReport:
     bound_ratio: float | None = None  # variance / (alpha^2 log N / N^2), N = min T
 
 
-def expected_delta(T: ModuliSet) -> Fraction:
-    """Mean of delta over all residue choices for T: exactly prod(1 - 1/n)."""
-    return alpha(T)
-
-
 def _bound_shape(T: ModuliSet) -> float:
     """alpha^2 log N / N^2 with N = min T, the scale the variance is read against."""
     N = min(T.moduli)
@@ -71,8 +66,8 @@ def enumerate_moments(
         raise GuardExceeded(f"W(T) = {W} exceeds guard {guard_w}", estimate=W)
     mods = sorted(T.moduli, reverse=True)
     # the walk reads only residue 0 of the largest modulus, unless it repeats
-    fixed = mods[0] if mods[1:2] != mods[:1] else None
-    L, masks = _class_mask_table(mods, density_guard, fixed)
+    base_only = {mods[0]} if mods[1:2] != mods[:1] else set()
+    L, masks = _class_mask_table(mods, density_guard, base_only)
     full = (1 << L) - 1
     choices = [masks[n][:1] if i == 0 else masks[n] for i, n in enumerate(mods)]
     weight = mods[0] if mods else 1
@@ -142,7 +137,7 @@ def pair_formula_moments(
     walk(0, 1, 1)
     prefactor = prod((Fraction(n - 2, n) for n in mods), start=Fraction(1))
     second = prefactor * Fraction(subtotal, m_all * l_all)
-    mean = expected_delta(T)
+    mean = alpha(T)  # the mean over all residue choices is exactly prod(1 - 1/n)
     variance = second - mean * mean
     return MomentReport(
         mean, second, variance, "pair-formula",

@@ -15,7 +15,7 @@ import numpy as np
 
 import coversieve as cs
 from coversieve.construct import GreedyStep, GreedyTrace
-from coversieve.density import ExactCoverCheck
+from coversieve.density import DeltaMinusResult, ExactCoverCheck
 
 # lcms <= 1e4 with rich divisor structure; random systems draw moduli
 # from the divisors of one of these
@@ -54,6 +54,13 @@ def naive_density(system: cs.ResidueSystem) -> Fraction:
         if all(x % c.modulus != c.residue for c in system.classes)
     )
     return Fraction(unc, L)
+
+
+def enumerate_residue_choices(S: cs.ModuliSet):
+    """All residue systems with moduli S, in lexicographic residue order."""
+    mods = list(S.moduli)
+    for rs in itertools.product(*(range(n) for n in mods)):
+        yield cs.ResidueSystem.from_pairs(zip(mods, rs))
 
 
 def naive_witness(system: cs.ResidueSystem) -> int | None:
@@ -97,6 +104,16 @@ def naive_membership(system: cs.ResidueSystem, Q: float) -> tuple[list[frozenset
         for h in range(M)
     ]
     return patterns, Counter(patterns)
+
+
+def naive_subsystem(dec, h: int) -> cs.ResidueSystem:
+    """C_h of a Decomposition built directly from the membership rule; the
+    reference for decompose's groups."""
+    pairs = set()
+    for c, (s, rough) in zip(dec.system.classes, dec.splits):
+        if h % s == c.residue % s:
+            pairs.add((rough, c.residue % rough))
+    return cs.ResidueSystem.from_pairs(sorted(pairs))
 
 
 def pair_sums(mods: list[int]) -> tuple[Fraction, Fraction]:
@@ -244,3 +261,29 @@ def naive_is_exact_cover(system: cs.ResidueSystem) -> ExactCoverCheck:
                     return ExactCoverCheck(False, total, failing_pair=(hit, c),
                                            reason="classes intersect")
     return ExactCoverCheck(True, total)
+
+
+def naive_greedy_peel(S: cs.ModuliSet) -> DeltaMinusResult:
+    """delta_minus in greedy mode with all n shifted class masks of every
+    modulus n; the reference for the peel that shifts the uncovered set
+    over one mask per modulus.  S must be nonempty."""
+    mods = list(S.moduli)
+    L = lcm(*mods)
+    masks = {
+        n: [sum(1 << x for x in range(r, L, n)) for r in range(n)]
+        for n in set(mods)
+    }
+    uncovered = (1 << L) - 1
+    chosen = []
+    for n in mods:
+        best_r, best_gain = 0, -1
+        for r in range(n):
+            gain = (uncovered & masks[n][r]).bit_count()
+            if gain > best_gain:
+                best_r, best_gain = r, gain
+        chosen.append((n, best_r))
+        uncovered &= ~masks[n][best_r]
+    rsum = sum((Fraction(1, n) for n in mods), Fraction(0))
+    return DeltaMinusResult(
+        Fraction(uncovered.bit_count(), L), cs.ResidueSystem.from_pairs(chosen), False, rsum
+    )

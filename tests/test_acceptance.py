@@ -147,7 +147,7 @@ def test_criterion_06_mean_identity_over_small_w():
     checked = 0
     for mods in _all_multisets_with_product_at_most(500):
         T = cs.ModuliSet.from_iterable(mods)
-        assert cs.enumerate_moments(T).mean == cs.expected_delta(T), mods
+        assert cs.enumerate_moments(T).mean == cs.alpha(T), mods
         checked += 1
 
     rnd = random.Random(2027)
@@ -164,7 +164,7 @@ def test_criterion_06_mean_identity_over_small_w():
         if not mods:
             continue
         T = cs.ModuliSet.from_iterable(mods)
-        assert cs.enumerate_moments(T, guard_w=10**5).mean == cs.expected_delta(T)
+        assert cs.enumerate_moments(T, guard_w=10**5).mean == cs.alpha(T)
         checked += 1
 
     divisor_pool = [d for d in (2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24, 30, 40, 60)]
@@ -173,7 +173,7 @@ def test_criterion_06_mean_identity_over_small_w():
         if math.prod(mods) > 10**5:
             continue
         T = cs.ModuliSet.from_iterable(mods)
-        assert cs.enumerate_moments(T, guard_w=10**5).mean == cs.expected_delta(T)
+        assert cs.enumerate_moments(T, guard_w=10**5).mean == cs.alpha(T)
         checked += 1
 
     elapsed = time.perf_counter() - t0

@@ -223,8 +223,12 @@ class TestPrimeProductModuli:
         assert st.alpha_all_divisors > float(st.beta_upper_bound)
 
     def test_exact_alpha_matches_float(self):
-        st = cs.prime_product_moduli(50, full_divisor_set=True, exact_alpha=True)
-        assert float(st.alpha_exact) == pytest.approx(st.alpha_all_divisors, rel=1e-9)
+        st = cs.prime_product_moduli(50, full_divisor_set=True)
+        divisors = [1]
+        for p in st.primes:
+            divisors += [d * p for d in divisors]
+        exact = cs.alpha(divisors[1:])  # every divisor d > 1 of H
+        assert float(exact) == pytest.approx(st.alpha_all_divisors, rel=1e-9)
 
     def test_divisor_guard(self):
         with pytest.raises(GuardExceeded):

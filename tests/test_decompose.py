@@ -8,7 +8,7 @@ import coversieve as cs
 from coversieve.core import GuardExceeded
 from coversieve.decompose import SmoothCoverError
 
-from conftest import naive_membership, random_system
+from conftest import naive_membership, naive_subsystem, random_system
 
 WORKED = cs.ResidueSystem.from_pairs([(2, 0), (3, 1), (6, 5)])
 
@@ -17,8 +17,8 @@ class TestDecompose:
     def test_worked_example(self):
         dec = cs.decompose(WORKED, 2)
         assert dec.M == 2
-        assert dec.subsystem_at(0).pairs() == [(1, 0), (3, 1)]
-        assert dec.subsystem_at(1).pairs() == [(3, 1), (3, 2)]
+        assert naive_subsystem(dec, 0).pairs() == [(1, 0), (3, 1)]
+        assert naive_subsystem(dec, 1).pairs() == [(3, 1), (3, 2)]
         by_rep = {g.representative: g for g in dec.groups}
         assert by_rep[0].subsystem.pairs() == [(1, 0), (3, 1)]
         assert by_rep[1].subsystem.pairs() == [(3, 1), (3, 2)]
@@ -33,9 +33,9 @@ class TestDecompose:
     def test_fully_smooth_modulus(self):
         dec = cs.decompose(cs.ResidueSystem.from_pairs([(4, 1)]), 2)
         assert dec.M == 4
-        assert dec.subsystem_at(1).pairs() == [(1, 0)]
+        assert naive_subsystem(dec, 1).pairs() == [(1, 0)]
         for h in (0, 2, 3):
-            assert dec.subsystem_at(h).pairs() == []
+            assert naive_subsystem(dec, h).pairs() == []
 
     def test_rough_moduli_coprime_to_m(self):
         rnd = random.Random(40)
@@ -55,7 +55,7 @@ class TestDecompose:
             dec = cs.decompose(system, Q)
             covered_h = 0
             for g in dec.groups:
-                direct = dec.subsystem_at(g.representative)
+                direct = naive_subsystem(dec, g.representative)
                 assert direct.pairs() == g.subsystem.pairs()
                 covered_h += g.count
             assert covered_h == dec.M
@@ -73,7 +73,7 @@ class TestDecompose:
         # (3,1) and (6,4) agree mod 3 and collide in the even subsystems
         dec = cs.decompose(cs.ResidueSystem.from_pairs([(3, 1), (6, 4)]), 2)
         assert dec.M == 2
-        even = dec.subsystem_at(0)
+        even = naive_subsystem(dec, 0)
         assert even.pairs() == [(3, 1)]
         group = {g.representative: g for g in dec.groups}[0]
         assert len(group.class_indices) == 2 and len(group.subsystem) == 1
@@ -168,7 +168,7 @@ class TestAveragedBeta:
             Q = rnd.choice([2, 3, 5])
             dec = cs.decompose(system, Q)
             direct = sum(
-                (cs.beta(dec.subsystem_at(h)) for h in range(dec.M)), Fraction(0)
+                (cs.beta(naive_subsystem(dec, h)) for h in range(dec.M)), Fraction(0)
             ) / dec.M
             assert cs.averaged_beta(system, Q).value == direct
 
@@ -247,9 +247,3 @@ class TestPositivityCertificate:
         total = sum((row["h_count"] * row["term"] for row in per), Fraction(0))
         assert total / cert.components["M"] == cert.lower_bound
 
-
-class TestSuggestQ:
-    def test_largest_prime_below_sqrt(self):
-        system = cs.ResidueSystem.from_pairs([(100, 1)])
-        assert cs.suggest_Q(system) == 7
-        assert cs.suggest_Q(cs.ResidueSystem.from_pairs([(4, 1)])) == 2

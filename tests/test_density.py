@@ -9,11 +9,12 @@ import pytest
 import coversieve as cs
 from coversieve import density
 from coversieve.core import GuardExceeded
-from coversieve.density import NotCoprimeError
 
 from conftest import (
+    enumerate_residue_choices,
     exact_cover_exists,
     naive_density,
+    naive_greedy_peel,
     naive_is_exact_cover,
     naive_witness,
     random_system,
@@ -73,19 +74,17 @@ class TestExactDensity:
 
 
 class TestDensityCoprime:
+    """For pairwise coprime moduli the product alpha is the exact density."""
+
     def test_examples(self):
-        assert cs.density_coprime(cs.ResidueSystem.from_pairs([(2, 0), (3, 1)])) == Fraction(1, 3)
-        assert cs.density_coprime(cs.ResidueSystem.from_pairs([(5, 4)])) == Fraction(4, 5)
+        assert cs.alpha(cs.ResidueSystem.from_pairs([(2, 0), (3, 1)])) == Fraction(1, 3)
+        assert cs.alpha(cs.ResidueSystem.from_pairs([(5, 4)])) == Fraction(4, 5)
 
     def test_agrees_with_scan(self):
         system = cs.ResidueSystem.from_pairs([(2, 0), (3, 1), (5, 2), (7, 3)])
-        product = cs.density_coprime(system)
+        product = cs.alpha(system)
         assert product == Fraction(8, 35)
         assert product == cs.exact_density(system).value
-
-    def test_rejects_common_factor(self):
-        with pytest.raises(NotCoprimeError):
-            cs.density_coprime(cs.ResidueSystem.from_pairs([(4, 1), (6, 2)]))
 
     def test_random_coprime_systems(self):
         rnd = random.Random(13)
@@ -97,25 +96,7 @@ class TestDensityCoprime:
             ):
                 mods = rnd.sample(pool, rnd.randint(1, 4))
             system = cs.ResidueSystem.from_pairs((n, rnd.randrange(n)) for n in mods)
-            assert cs.density_coprime(system) == cs.exact_density(system).value
-
-
-class TestClassesDisjoint:
-    def test_examples(self):
-        assert cs.classes_disjoint(cs.ResidueClass(2, 0), cs.ResidueClass(4, 1))
-        assert not cs.classes_disjoint(cs.ResidueClass(2, 0), cs.ResidueClass(3, 1))
-        assert not cs.classes_disjoint(cs.ResidueClass(6, 1), cs.ResidueClass(4, 1))
-
-    def test_matches_scan(self):
-        rnd = random.Random(14)
-        for _ in range(200):
-            c1 = cs.ResidueClass(rnd.randint(1, 12), rnd.randint(0, 11))
-            c2 = cs.ResidueClass(rnd.randint(1, 12), rnd.randint(0, 11))
-            period = c1.modulus * c2.modulus
-            overlap = any(
-                c1.contains(x) and c2.contains(x) for x in range(period)
-            )
-            assert cs.classes_disjoint(c1, c2) == (not overlap)
+            assert cs.alpha(system) == cs.exact_density(system).value
 
 
 class TestIsExactCover:
@@ -260,7 +241,7 @@ class TestDeltaPlus:
         S = cs.ModuliSet.from_iterable([4, 6])
         best = max(
             cs.exact_density(system).value
-            for system in cs.enumerate_residue_choices(S)
+            for system in enumerate_residue_choices(S)
         )
         assert cs.delta_plus(S) == best
 
@@ -292,7 +273,7 @@ class TestDeltaMinus:
             S = cs.ModuliSet.from_iterable(mods)
             brute = min(
                 cs.exact_density(system).value
-                for system in cs.enumerate_residue_choices(S)
+                for system in enumerate_residue_choices(S)
             )
             assert cs.delta_minus(S).value == brute
 
@@ -344,6 +325,32 @@ class TestDeltaMinus:
             naive_density(cs.ResidueSystem.from_pairs(zip(mods, rs)))
             for rs in itertools.product(*(range(n) for n in mods))
         )
+
+    def test_greedy_builds_one_mask_per_modulus(self, monkeypatch):
+        tables = []
+        build = density._class_mask_table
+
+        def spy(*args):
+            tables.append(build(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(density, "_class_mask_table", spy)
+        S = cs.ModuliSet.from_iterable([1, 4, 6, 9, 6, 12])
+        result = cs.delta_minus(S, "greedy")
+        assert {n: len(m) for n, m in tables[0][1].items()} == {1: 1, 4: 1, 6: 1, 9: 1, 12: 1}
+        assert result == naive_greedy_peel(S)
+
+    def test_greedy_matches_all_masks_peel(self):
+        # seeded sets, each with a repeated modulus, every third one with modulus 1
+        rnd = random.Random(22)
+        pool = [2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 20, 24, 30, 36, 40]
+        for i in range(60):
+            mods = [rnd.choice(pool) for _ in range(rnd.randint(1, 6))]
+            mods.append(rnd.choice(mods))
+            if i % 3 == 0:
+                mods.append(1)
+            S = cs.ModuliSet.from_iterable(mods)
+            assert cs.delta_minus(S, "greedy") == naive_greedy_peel(S), mods
 
 
 class TestUncoveredWitness:

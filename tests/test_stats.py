@@ -9,7 +9,7 @@ import pytest
 import coversieve as cs
 from coversieve.core import GuardExceeded
 
-from conftest import naive_moments
+from conftest import enumerate_residue_choices, naive_moments
 
 
 def M(*mods):
@@ -18,12 +18,12 @@ def M(*mods):
 
 class TestExpectedDelta:
     def test_examples(self):
-        assert cs.expected_delta(M(3, 4)) == Fraction(1, 2)
-        assert cs.expected_delta(M(2, 4)) == Fraction(3, 8)
-        assert cs.expected_delta(M(7)) == Fraction(6, 7)
+        assert cs.alpha(M(3, 4)) == Fraction(1, 2)
+        assert cs.alpha(M(2, 4)) == Fraction(3, 8)
+        assert cs.alpha(M(7)) == Fraction(6, 7)
 
     def test_multiplicity_counts(self):
-        assert cs.expected_delta(M(3, 3)) == Fraction(4, 9)
+        assert cs.alpha(M(3, 3)) == Fraction(4, 9)
 
 
 class TestEnumerateMoments:
@@ -51,12 +51,12 @@ class TestEnumerateMoments:
             T = M(*mods)
             if T.product() > 3000:
                 continue
-            assert cs.enumerate_moments(T).mean == cs.expected_delta(T)
+            assert cs.enumerate_moments(T).mean == cs.alpha(T)
 
     def test_matches_direct_density_average(self):
         T = M(2, 4, 6)
         total = Fraction(0)
-        for system in cs.enumerate_residue_choices(T):
+        for system in enumerate_residue_choices(T):
             total += cs.exact_density(system).value
         rep = cs.enumerate_moments(T)
         assert rep.mean == total / T.product()
@@ -79,7 +79,7 @@ class TestEnumerateMoments:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.mean == cs.expected_delta(M(199, 200))
+        assert rep.mean == cs.alpha(M(199, 200))
         assert peak < 250 * mask_bytes
 
 
@@ -181,7 +181,7 @@ class TestSampleMoments:
         mods = [33, 35, 36, 39, 40, 42, 44, 45, 48, 52, 55, 56, 60]
         T = M(*mods)
         rep = cs.sample_moments(T, 1000, seed=3)
-        assert abs(float(rep.mean - cs.expected_delta(T))) <= 5 * rep.std_error
+        assert abs(float(rep.mean - cs.alpha(T))) <= 5 * rep.std_error
 
     def test_reproducible_and_trialwise_seeded(self):
         T = M(2, 4, 6)
@@ -219,7 +219,7 @@ class TestCountingIdentity:
             T = M(*mods)
             count = sum(
                 1
-                for system in cs.enumerate_residue_choices(T)
+                for system in enumerate_residue_choices(T)
                 if all(m % c.modulus != c.residue for c in system.classes)
             )
             assert count == math.prod(n - 1 for n in mods)
