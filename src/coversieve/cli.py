@@ -6,7 +6,10 @@ JSON by default (``--format csv`` for flat tables); exact rationals are
 serialized as "p/q" strings and inherently floating fields carry an
 ``approx_`` prefix.  Exit codes: 0 success, 1 input error, 2 resource
 guard exceeded.  Identical argv (including --seed) always produces a
-byte-identical report.
+byte-identical report, and for JSON that includes the layout: keys in
+sorted order, a two-space indent, one value per line and non-ASCII
+characters as ``\\uXXXX`` escapes, exactly as
+``json.dumps(report, sort_keys=True, indent=2)`` lays it out.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .bounds import pair_correction_bound
@@ -73,6 +77,66 @@ def _encode(obj):
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
     return str(obj)
+
+
+# json.dumps(obj, sort_keys=True, indent=2) runs CPython's pure-Python
+# encoder, because the C encoder cannot indent, and the 5 MB report of
+# construct-exact --J 4 spends most of its time there.  _dumps gives the
+# same bytes but hands the arrays of numbers that make up the bulk of a
+# report (system classes, block bounds, primes) to the C encoder in
+# compact form and re-indents the result with str.replace.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for
+    objects whose dict keys are all strings."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, nl: str, out: list[str]) -> None:
+    """Append obj laid out at the depth whose line break is nl."""
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        sep = "{"
+        for key, value in sorted(obj.items()):
+            # report keys are strings; any other key raises TypeError here
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _write(value, inner, out)
+            sep = ","
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        flat = _COMPACT.encode(obj)
+        if '"' not in flat and "{" not in flat:  # numbers, bools, nulls, arrays
+            if flat.count("[") == 1:  # [1,2]
+                out.append(f"[{inner}{flat[1:-1].replace(',', ',' + inner)}{nl}]")
+                return
+            # [[1,2],[3]]: every item a non-empty array of scalars.  The
+            # counts reject [[[65]],null] and [[1,2],3]; "[]" rejects [[]]
+            if (flat.count("[") == len(obj) + 1 and flat.startswith("[[")
+                    and flat.count("],[") == len(obj) - 1 and "[]" not in flat):
+                deeper = inner + "  "
+                rows = (flat[1:-1].replace(",", "," + deeper)
+                        .replace("]," + deeper + "[", "]," + inner + "[")
+                        .replace("[", "[" + deeper).replace("]", inner + "]"))
+                out.append(f"[{inner}{rows}{nl}]")
+                return
+        sep = "["
+        for item in obj:
+            out.append(sep + inner)
+            _write(item, inner, out)
+            sep = ","
+        out.append(nl + "]")
+    else:
+        out.append(_COMPACT.encode(obj))
 
 
 _TEXT_LINE = re.compile(r"^\s*(-?\d+)\s+mod\s+(\d+)\s*$")
@@ -133,7 +197,7 @@ def _emit(report: dict, fmt: str) -> None:
             writer.writerow(flat)
         sys.stdout.write(out.getvalue())
     else:
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_dumps(report) + "\n")
 
 
 def build_parser() -> _Parser:

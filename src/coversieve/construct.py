@@ -205,14 +205,26 @@ def block_supply_check(j: int) -> BlockSupplyResult:
 
 def minimal_block_schedule(J: int) -> list[int]:
     """Alternative schedule: each X_j is the least integer satisfying the
-    block-supply inequality given X_{j-1} (X_0 = 1)."""
+    block-supply inequality given X_{j-1} (X_0 = 1).
+
+    The supply S(x) = sum of floor(x / p) over primes p in (X_{j-1}, x]
+    never decreases as x grows, so the least x with S(x) >= X_{j-1} is
+    found by doubling the distance past X_{j-1} and then bisecting: about
+    2 log2(X_j) sieves instead of one per candidate x.
+    """
     xs = [1]
     for _ in range(J):
         prev = xs[-1]
-        x = prev + 1
-        while _block_supply(prev, x) < prev:
-            x += 1
-        xs.append(x)
+        lo, hi = prev, prev + 1  # S(lo) = 0 < prev; hi is the first guess
+        while _block_supply(prev, hi) < prev:
+            lo, hi = hi, prev + 2 * (hi - prev)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _block_supply(prev, mid) >= prev:
+                hi = mid
+            else:
+                lo = mid
+        xs.append(hi)
     return xs
 
 

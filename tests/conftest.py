@@ -6,6 +6,7 @@ subset search, so that library results are confirmed by independent code.
 """
 
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -287,3 +288,23 @@ def naive_greedy_peel(S: cs.ModuliSet) -> DeltaMinusResult:
     return DeltaMinusResult(
         Fraction(uncovered.bit_count(), L), cs.ResidueSystem.from_pairs(chosen), False, rsum
     )
+
+
+def indented_json(obj) -> str:
+    """The stdlib's indented, key-sorted dump; the reference for the CLI's
+    report writer cli._dumps."""
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def linear_block_schedule(J: int) -> list[int]:
+    """minimal_block_schedule by a linear search that re-sums
+    floor(x / p) over the primes in (X_{j-1}, x] for every candidate x;
+    the reference for its doubling-and-bisection search."""
+    xs = [1]
+    for _ in range(J):
+        prev = xs[-1]
+        x = prev + 1
+        while sum(x // p for p in cs.primes_in(prev, x)) < prev:
+            x += 1
+        xs.append(x)
+    return xs

@@ -4,8 +4,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coversieve.cli import load_system, run
+from coversieve.cli import _dumps, load_system, run
+
+from conftest import indented_json
 
 OPENING = [[2, 0], [3, 0], [4, 1], [6, 1], [12, 11]]
 
@@ -236,8 +239,9 @@ class TestFormatsAndErrors:
 
 
 class TestReportBytes:
-    """sha256 of the full stdout, recorded before greedy_cover and
-    is_exact_cover were rewritten; the reports must stay byte for byte."""
+    """sha256 of the full stdout, recorded before greedy_cover,
+    is_exact_cover and the report writer were rewritten; the reports must
+    stay byte for byte.  A guard-exceeded report exits 2, any other 0."""
 
     @pytest.mark.parametrize("argv, digest", [
         (("greedy", "--N", "4", "--K", "20", "--window", "4000000", "--seed", "1"),
@@ -246,11 +250,64 @@ class TestReportBytes:
          "3a5a15ae62cef4c1accbbb7400593b3dc82ed4563758568b724f3544c97566db"),
         (("verify-exact-cover", "--input", "intersect.json"),
          "0654dd0389a433a7c07a5f3787f333bdc7c62bee0adf002c60af3925a7dd5ace"),
+        (("construct-exact", "--J", "4"),
+         "3303faac138d1a1db505b68014e7e0dff13ed583c468d002aef1d5c2f2ed0515"),
+        (("decompose", "--input", "opening.json", "--Q", "2", "--check-identity"),
+         "be115649e2951bb20f74b058f9a716240c2cf92d4b236738dd09abc3b42d6db3"),
+        (("stats", "--moduli", "2,3,4", "--mode", "sample", "--trials", "50", "--seed", "5"),
+         "ec2d4bcef9df474def611abb51353e0c3abfc5f6c1a703189c5927809e69e2ff"),
+        (("density", "--input", "opening.json", "--guard", "10"),
+         "8bed6442ed945b21b958ee79e0e5ed2bfac5fd5ea03991e5cbd3ddf25ccd1eaf"),
     ])
     def test_stdout_digest(self, capsys, monkeypatch, tmp_path, argv, digest):
         # the report echoes the input path, so it is given relative to tmp_path
         monkeypatch.chdir(tmp_path)
         (tmp_path / "intersect.json").write_text(json.dumps({"classes": [[2, 0], [4, 1], [4, 2]]}))
+        (tmp_path / "opening.json").write_text(json.dumps({"classes": OPENING}))
         code, out = invoke(capsys, *argv)
-        assert code == 0
+        assert code == (2 if "error" in json.loads(out) else 0)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_NUMBERS = (
+    st.integers(-1000, 1000) | st.integers(-(2**200), 2**200)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.booleans() | st.none()
+)
+_SCALARS = _NUMBERS | st.text(alphabet='[]{},:"\\ab\u00e9\u2014 \n', max_size=6)
+# string-free arrays are the writer's fast path, so they are drawn on their own too
+_TREES = st.recursive(
+    _SCALARS | st.recursive(_NUMBERS, lambda kids: st.lists(kids, max_size=4), max_leaves=12),
+    lambda kids: st.lists(kids, max_size=5) | st.dictionaries(st.text(max_size=4), kids, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestReportWriter:
+    """cli._dumps against the stdlib's indented dump it replaces."""
+
+    @pytest.mark.parametrize("obj", [
+        [], [[]], [[1]], [[[65]], None], [[1, 2], 3], [[1], []], [{}], {},
+        [1.5, float("inf"), float("-inf"), float("nan"), True, None, 10**30],
+        [[1, 2], [3, 4, 5]], {"b": [[2, 0]], "a": {"c": '"[1,2]"'}},
+        ("tuple", [1]), "caf\u00e9", {"": None, "\u00e9": {"k": []}},
+    ])
+    def test_explicit_cases(self, obj):
+        assert _dumps(obj) == indented_json(obj)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_TREES)
+    def test_matches_indented_json(self, obj):
+        assert _dumps(obj) == indented_json(obj)
+
+    def test_unencodable_raises_like_the_stdlib(self):
+        for obj in ({(1, 2): 0}, [object()], {"a": {3j: 1}}):
+            with pytest.raises(TypeError):
+                indented_json(obj)
+            with pytest.raises(TypeError):
+                _dumps(obj)
+
+    def test_non_string_keys_raise(self):
+        # reports only have string keys; the stdlib would quietly write "1"
+        with pytest.raises(TypeError):
+            _dumps({1: "x"})

@@ -10,7 +10,7 @@ from coversieve.core import SEGMENT_SIZE, GuardExceeded
 from coversieve.construct import GreedyStep, GreedyTrace
 from coversieve.decompose import SmoothCoverError
 
-from conftest import naive_greedy
+from conftest import linear_block_schedule, naive_greedy
 
 
 class TestGreedyCover:
@@ -191,6 +191,14 @@ class TestExactCoverConstruct:
 
     def test_minimal_block_schedule(self):
         assert cs.minimal_block_schedule(4) == [1, 2, 5, 17, 67]
+
+    @pytest.mark.parametrize("J", range(1, 7))
+    def test_minimal_block_schedule_against_linear_search(self, J):
+        assert cs.minimal_block_schedule(J) == linear_block_schedule(J)
+
+    def test_minimal_block_schedule_deep(self):
+        # recorded from the linear search, too slow for the suite at J = 8
+        assert cs.minimal_block_schedule(8) == [1, 2, 5, 17, 67, 298, 1522, 8817, 57557]
 
     def test_minimal_schedule_construction_still_exact(self):
         for J in (2, 3):

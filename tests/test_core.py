@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -19,6 +20,32 @@ class TestResidueClass:
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
             cs.ResidueClass(0, 0)
+
+    def test_zero_modulus_rejected_before_reduction(self):
+        with pytest.raises(ValueError):
+            cs.ResidueClass(0, 1)
+
+    def test_frozen(self):
+        c = cs.ResidueClass(3, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.residue = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.modulus = 5
+
+    def test_equal_after_reduction_with_equal_hashes(self):
+        assert cs.ResidueClass(3, 7) == cs.ResidueClass(3, 1)
+        assert hash(cs.ResidueClass(3, 7)) == hash(cs.ResidueClass(3, 1))
+        assert len({cs.ResidueClass(3, 7), cs.ResidueClass(3, 1), cs.ResidueClass(3, -2)}) == 1
+
+    def test_sorted_by_modulus_then_residue(self):
+        classes = [cs.ResidueClass(n, r) for n, r in [(5, 1), (3, 2), (4, 0), (3, 1), (5, 0)]]
+        assert [(c.modulus, c.residue) for c in sorted(classes)] == [
+            (3, 1), (3, 2), (4, 0), (5, 0), (5, 1)]
+
+    def test_slotted(self):
+        c = cs.ResidueClass(3, 1)
+        assert not hasattr(c, "__dict__")
+        assert set(type(c).__slots__) == {"modulus", "residue"}
 
 
 class TestResidueSystem:
