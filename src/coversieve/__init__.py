@@ -54,7 +54,6 @@ from .decompose import (
     averaged_beta,
     decompose,
     decomposition_identity,
-    density_decomposed,
     positivity_certificate,
 )
 from .density import (

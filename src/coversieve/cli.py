@@ -38,7 +38,6 @@ from .decompose import (
     DEFAULT_M_GUARD,
     decompose,
     decomposition_identity,
-    density_decomposed,
     positivity_certificate,
 )
 from .density import (
@@ -220,9 +219,8 @@ def build_parser() -> _Parser:
              epilog="CSV columns: delta, period, uncovered_count, method, witness")
     sp.add_argument("--input", required=True)
     sp.add_argument("--guard", type=int, default=DEFAULT_CELL_GUARD,
-                    help="max scan cells (default 1e9)")
-    sp.add_argument("--Q", type=float, default=None,
-                    help="compute through the Q-smooth decomposition instead of one scan")
+                    help="max scan period in cells and, past it, max work of the "
+                         "CRT splits (default 1e9)")
 
     sp = add("bounds", "pair-correction lower bounds (plain and refined)",
              epilog="CSV columns: alpha, beta, plain_bound, refined_bound, conclusion")
@@ -255,7 +253,8 @@ def build_parser() -> _Parser:
     sp = add("delta-plus", "density of integers divisible by no modulus",
              epilog="CSV columns: value")
     sp.add_argument("--moduli", required=True)
-    sp.add_argument("--guard", type=int, default=DEFAULT_CELL_GUARD)
+    sp.add_argument("--guard", type=int, default=DEFAULT_CELL_GUARD,
+                    help="max work of the CRT splits (default 1e9)")
 
     sp = add("greedy", "random-then-greedy near-cover on (N, KN]",
              epilog="CSV rows: one per greedy step (j, divisors, f, residue, uncovered_after)")
@@ -308,14 +307,12 @@ def _dispatch(args) -> dict:
 
     if cmd == "density":
         system = load_system(args.input, text)
-        if args.Q is not None:
-            rep = density_decomposed(system, args.Q, density_guard=args.guard)
-            wit = None
-        else:
-            rep = exact_density(system, args.guard)
-            wit = uncovered_witness(system, args.guard) if rep.value > 0 else None
+        rep = exact_density(system, args.guard)
+        # the least uncovered integer needs a scan of the period
+        scanned = rep.method == "lcm-scan" and rep.value > 0
+        wit = uncovered_witness(system, args.guard) if scanned else None
         return {
-            "inputs": {"input": args.input, "guard": args.guard, "Q": args.Q},
+            "inputs": {"input": args.input, "guard": args.guard},
             "result": {
                 "delta": rep.value, "period": rep.period,
                 "uncovered_count": rep.uncovered_count, "method": rep.method,

@@ -23,8 +23,8 @@ from fractions import Fraction
 from math import gcd
 
 from .bounds import BoundCertificate, alpha, beta
-from .core import ResidueSystem, factorize, lcm_guarded, smooth_split
-from .density import DEFAULT_CELL_GUARD, DensityReport, exact_density
+from .core import ResidueSystem, _membership_groups, lcm_guarded, smooth_split
+from .density import DEFAULT_CELL_GUARD, exact_density
 
 DEFAULT_M_GUARD = 10**7
 # the averaged-alpha floor is a float power, so it is met up to this slack
@@ -61,32 +61,6 @@ class Decomposition:
     splits: tuple[tuple[int, int], ...]  # (smooth, rough) per class
     groups: tuple[SubsystemGroup, ...]
     smooth_subsystem: ResidueSystem  # classes whose modulus is Q-smooth
-
-
-def _membership_groups(splits, residues, M):
-    """Group h in [0, M) by admitting classes via the CRT fold; bits -> [count, h]."""
-    found = {(1 << len(splits)) - 1: [1, 0]}
-    mod = 1
-    for p, e in factorize(M).pairs:
-        q = p**e
-        free = sum(1 << i for i, (s, _) in enumerate(splits) if s % p)
-        table = [free] * q
-        for i, ((s, _), r) in enumerate(zip(splits, residues)):
-            if s % p == 0:
-                pa = gcd(s, q)
-                for x in range(r % pa, q, pa):
-                    table[x] |= 1 << i
-        cells: dict[int, list[int]] = {}
-        for x, tbits in enumerate(table):
-            cells.setdefault(tbits, [0, x])[0] += 1
-        inv = pow(mod, -1, q)
-        folded: dict[int, list[int]] = {}
-        for bits, (cnt, h) in found.items():
-            for tbits, (tcnt, x) in cells.items():
-                rep = h + mod * ((x - h) * inv % q)
-                folded.setdefault(bits & tbits, [0, rep])[0] += cnt * tcnt
-        found, mod = folded, mod * q
-    return found
 
 
 def decompose(
@@ -155,33 +129,6 @@ def decomposition_identity(
     ) / dec.M
     lhs = exact_density(system, density_guard).value
     return IdentityReport(lhs, rhs, lhs == rhs, dec.M)
-
-
-def density_decomposed(
-    system: ResidueSystem,
-    Q: float,
-    guard_m: int = DEFAULT_M_GUARD,
-    density_guard: int = DEFAULT_CELL_GUARD,
-) -> DensityReport:
-    """delta(C) through the decomposition identity, for periods too large to scan.
-
-    Useful when lcm(S(C)) blows past the scan guard but M and the per-
-    subsystem periods stay small.  The reported period is M times the lcm
-    of all rough moduli encountered.
-    """
-    dec = decompose(system, Q, guard_m)
-    total = Fraction(0)
-    rough_periods = []
-    for g in dec.groups:
-        rep = exact_density(g.subsystem, density_guard)
-        total += g.count * rep.value
-        rough_periods.append(rep.period)
-    value = total / dec.M
-    period = dec.M * lcm_guarded(rough_periods)
-    count = value * period
-    if count.denominator != 1:
-        raise ArithmeticError(f"uncovered count {count} over period {period} is not an integer")
-    return DensityReport(value, period, "decomposition", int(count))
 
 
 def _diagnostic_shape(system: ResidueSystem, Q: float) -> float:

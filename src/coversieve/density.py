@@ -5,7 +5,10 @@ The workhorse is a segmented one-byte-per-residue sieve over one full period
 with a single slice assignment per segment.  The uncovered count is the
 period minus the covered bytes, which ``np.count_nonzero`` counts per
 segment at memory speed; the least uncovered integer is found with
-``bytearray.find``, a memchr.  Everything returned is an exact ``Fraction``.
+``bytearray.find``, a memchr.  Past the scan guard, the CRT split
+delta(C) = (1/q) sum_x delta(C_x) over a prime power q of the period
+reduces a system to subsystems small enough to sieve.  Everything returned
+is an exact ``Fraction``.
 """
 
 from __future__ import annotations
@@ -24,10 +27,17 @@ from .core import (
     ModuliSet,
     ResidueClass,
     ResidueSystem,
+    _membership_groups,
+    factorize,
     lcm_guarded,
 )
 
 DEFAULT_CELL_GUARD = 10**9
+# _split_density scans a component whose period is at most SCAN_LEAF cells
+# and refuses a split whose prime power, the size of its table, passes
+# SPLIT_LIMIT; the two are kept apart so that a smaller leaf still splits
+SCAN_LEAF = 2 * 10**6
+SPLIT_LIMIT = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -40,12 +50,13 @@ class DensityReport:
 
     value: Fraction
     period: int
-    method: str  # 'lcm-scan' | 'decomposition'
+    method: str  # 'lcm-scan' | 'planner'
     uncovered_count: int
 
 
-def _covered_segments(system: ResidueSystem, L: int):
-    """Yield (lo, cov) over [0, L): cov[i] is nonzero iff lo + i is covered.
+def _covered_segments(pairs, L: int):
+    """Yield (lo, cov) over [0, L): cov[i] is nonzero iff lo + i is covered
+    by one of the classes (n, r) in pairs, with 0 <= r < n.
 
     One byte per cell; each class is painted with one strided slice
     assignment per segment.
@@ -53,8 +64,7 @@ def _covered_segments(system: ResidueSystem, L: int):
     for lo in range(0, L, SEGMENT_SIZE):
         width = min(SEGMENT_SIZE, L - lo)
         cov = bytearray(width)
-        for c in system.classes:
-            n, r = c.modulus, c.residue
+        for n, r in pairs:
             start = (r - lo) % n
             if start < width:
                 count = (width - start + n - 1) // n
@@ -62,26 +72,134 @@ def _covered_segments(system: ResidueSystem, L: int):
         yield lo, cov
 
 
-def exact_density(system: ResidueSystem, guard: int = DEFAULT_CELL_GUARD) -> DensityReport:
-    """Exact delta of a residue system by sieving one full period.
-
-    Raises GuardExceeded when lcm of the moduli exceeds ``guard`` cells;
-    callers should then fall back to the smooth-part decomposition or to
-    lower-bound certificates.
-    """
-    L = lcm_guarded((c.modulus for c in system.classes), guard)
-    covered = sum(
+def _scan_uncovered(pairs, L: int) -> int:
+    """Cells of [0, L) left uncovered by the classes (n, r) in pairs."""
+    return L - sum(
         int(np.count_nonzero(np.frombuffer(cov, np.uint8)))
-        for _, cov in _covered_segments(system, L)
+        for _, cov in _covered_segments(pairs, L)
     )
-    uncovered = L - covered
+
+
+def _split_density(pairs, budget: int) -> Fraction:
+    """Exact delta of the classes (n, r) in pairs, without a full-period scan.
+
+    For a prime power q exactly dividing the period, CRT gives
+    delta(C) = (1/q) sum over x mod q of delta(C_x), where C_x holds
+    (n/g, r mod n/g), g = gcd(n, q), for every class with x = r (mod g);
+    ``_membership_groups`` tabulates the x with equal C_x once.
+
+    Every (sub)system is first canonicalized: residues reduced, duplicates
+    and classes lying inside another class dropped, so that a modulus 1
+    gives 0 and the empty system 1.  Its density is the product over the
+    components of the shares-a-prime graph on its moduli.  A component
+    whose period is at most SCAN_LEAF cells is scanned; a larger one is
+    split on the largest prime power of its period.  Equal components are
+    solved once.
+
+    The work is one unit per component solved plus the cells it scans or
+    the q it tabulates.  GuardExceeded is raised before the work passes
+    ``budget``, and before a split would tabulate more than SPLIT_LIMIT
+    residues.
+    """
+    left = budget
+    memo: dict[tuple, Fraction] = {}
+
+    @cache  # subsystem moduli divide the input's, so they repeat
+    def prime_powers(n: int) -> list[int]:
+        return [p**e for p, e in factorize(n).pairs]
+
+    def spend(units: int) -> None:
+        nonlocal left
+        if units > left:
+            raise GuardExceeded(
+                f"density work exceeds guard of {budget} units",
+                estimate=budget - left + units,
+            )
+        left -= units
+
+    def solve(pairs) -> Fraction:
+        kept: list[tuple[int, int]] = []
+        for n, r in sorted({(n, r % n) for n, r in pairs}):
+            if n == 1:
+                return Fraction(0)
+            if not any(n % m == 0 and r % m == s for m, s in kept):
+                kept.append((n, r))
+        components: list[tuple[int, list]] = []  # (period, classes)
+        for n, r in kept:
+            period, members, apart = n, [(n, r)], []
+            for comp in components:
+                if gcd(comp[0], n) > 1:
+                    period = lcm(period, comp[0])
+                    members += comp[1]
+                else:
+                    apart.append(comp)
+            components = apart + [(period, members)]
+
+        value = Fraction(1)
+        for period, members in components:
+            key = tuple(sorted(members))
+            part = memo.get(key)
+            if part is None:
+                spend(1)
+                if period <= SCAN_LEAF:
+                    spend(period)
+                    part = Fraction(_scan_uncovered(key, period), period)
+                else:
+                    q = max(pe for n, _ in key for pe in prime_powers(n))
+                    if q > SPLIT_LIMIT:
+                        raise GuardExceeded(
+                            f"split prime power {q} exceeds {SPLIT_LIMIT}", estimate=q
+                        )
+                    spend(q)
+                    splits = [(gcd(n, q), n // gcd(n, q)) for n, _ in key]
+                    groups = _membership_groups(splits, [r for _, r in key], q)
+                    total = Fraction(0)
+                    for bits, (count, _) in groups.items():
+                        sub = [(rough, r) for i, ((_, rough), (_, r))
+                               in enumerate(zip(splits, key)) if bits >> i & 1]
+                        total += count * solve(sub)
+                    part = total / q
+                memo[key] = part
+            value *= part
+            if not value:
+                break
+        return value
+
+    return solve(pairs)
+
+
+def exact_density(system: ResidueSystem, guard: int = DEFAULT_CELL_GUARD) -> DensityReport:
+    """Exact delta of a residue system.
+
+    A period lcm of at most ``guard`` cells is sieved in one pass (method
+    'lcm-scan').  Past it, ``_split_density`` computes delta with ``guard``
+    as its work budget (method 'planner'), and the report still gives the
+    lcm as its period.  When that budget runs out too, the period guard's
+    GuardExceeded is raised; callers should then fall back to lower-bound
+    certificates.
+    """
+    pairs = system.pairs()
+    try:
+        L = lcm_guarded((n for n, _ in pairs), guard)
+    except GuardExceeded as refusal:
+        try:
+            value = _split_density(pairs, guard)
+        except GuardExceeded:
+            raise refusal from None
+        L = lcm_guarded(n for n, _ in pairs)
+        count = value * L
+        if count.denominator != 1:
+            raise ArithmeticError(f"uncovered count {count} over period {L} is not an integer")
+        return DensityReport(value, L, "planner", int(count))
+    uncovered = _scan_uncovered(pairs, L)
     return DensityReport(Fraction(uncovered, L), L, "lcm-scan", uncovered)
 
 
 def uncovered_witness(system: ResidueSystem, guard: int = DEFAULT_CELL_GUARD) -> int | None:
     """Smallest nonnegative uncovered integer, or None when delta = 0."""
-    L = lcm_guarded((c.modulus for c in system.classes), guard)
-    for lo, cov in _covered_segments(system, L):
+    pairs = system.pairs()
+    L = lcm_guarded((n for n, _ in pairs), guard)
+    for lo, cov in _covered_segments(pairs, L):
         at = cov.find(0)
         if at >= 0:
             return lo + at
@@ -150,50 +268,17 @@ def is_exact_cover(system: ResidueSystem) -> ExactCoverCheck:
     return ExactCoverCheck(True, total)
 
 
-def _dominated_pruned(moduli: list[int]) -> list[int]:
-    """Drop any modulus that is a multiple of another (its multiples are a subset)."""
-    out = []
-    for n in sorted(set(moduli)):
-        if not any(n % m == 0 for m in out):
-            out.append(n)
-    return out
-
-
 def delta_plus(S: ModuliSet, guard: int = DEFAULT_CELL_GUARD) -> Fraction:
     """Density of integers divisible by no member of S.
 
     This is the largest uncovered density over all residue choices for S
-    (attained by choosing residue 0 everywhere).  Computed by
-    inclusion-exclusion over subset lcms after dominated moduli are pruned;
-    falls back to a direct sieve when too many moduli survive for 2^|S|
-    terms.
+    (attained by choosing residue 0 everywhere): the density of the
+    residue-0 classes, computed by ``_split_density`` with ``guard`` as its
+    work budget.
     """
     if not S.distinct:
         raise ValueError("delta_plus expects distinct moduli")
-    mods = _dominated_pruned(list(S.moduli))
-    if 1 in mods:
-        return Fraction(0)
-    if len(mods) > 25:
-        report = exact_density(
-            ResidueSystem.from_pairs((n, 0) for n in mods), guard
-        )
-        return report.value
-
-    # every subset lcm divides D, so the terms are summed as integers over D
-    D = lcm(*mods)
-    total = 0
-
-    def walk(idx: int, cur_lcm: int, sign: int):
-        nonlocal total
-        if idx == len(mods):
-            return
-        walk(idx + 1, cur_lcm, sign)
-        nxt = lcm(cur_lcm, mods[idx])
-        total += sign * (D // nxt)
-        walk(idx + 1, nxt, -sign)
-
-    walk(0, 1, -1)
-    return 1 + Fraction(total, D)
+    return _split_density([(n, 0) for n in S.moduli], guard)
 
 
 @dataclass(frozen=True)

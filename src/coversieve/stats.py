@@ -32,20 +32,12 @@ class MomentReport:
     method: str  # 'enumeration' | 'pair-formula' | 'monte-carlo'
     sample_count: int | None = None
     std_error: float | None = None
-    bound_ratio: float | None = None  # variance / (alpha^2 log N / N^2), N = min T
 
 
 def _bound_shape(T: ModuliSet) -> float:
     """alpha^2 log N / N^2 with N = min T, the scale the variance is read against."""
     N = min(T.moduli)
     return float(alpha(T)) ** 2 * math.log(N) / N**2
-
-
-def _variance_shape(T: ModuliSet, variance: Fraction) -> float | None:
-    if len(T) == 0:
-        return None
-    shape = _bound_shape(T)
-    return float(variance) / shape if shape > 0 else None
 
 
 def enumerate_moments(
@@ -89,10 +81,7 @@ def enumerate_moments(
     mean = Fraction(weight * total, W * L)
     second = Fraction(weight * total_sq, W * L * L)
     variance = second - mean * mean
-    return MomentReport(
-        mean, second, variance, "enumeration",
-        bound_ratio=_variance_shape(T, variance),
-    )
+    return MomentReport(mean, second, variance, "enumeration")
 
 
 def pair_formula_moments(
@@ -139,10 +128,7 @@ def pair_formula_moments(
     second = prefactor * Fraction(subtotal, m_all * l_all)
     mean = alpha(T)  # the mean over all residue choices is exactly prod(1 - 1/n)
     variance = second - mean * mean
-    return MomentReport(
-        mean, second, variance, "pair-formula",
-        bound_ratio=_variance_shape(T, variance),
-    )
+    return MomentReport(mean, second, variance, "pair-formula")
 
 
 def sample_moments(
@@ -162,8 +148,8 @@ def sample_moments(
     mods = list(T.moduli)
     use_masks = True
     try:
-        L, masks = _class_mask_table(mods, min(density_guard, 2 * 10**5))
-        full = (1 << L) - 1
+        # one mask per modulus: class r of n is its mask 0 shifted up by r
+        L, masks = _class_mask_table(mods, min(density_guard, 2 * 10**5), set(mods))
     except GuardExceeded:
         use_masks = False
 
@@ -173,10 +159,10 @@ def sample_moments(
         rng = np.random.default_rng([seed, t])
         residues = [int(rng.integers(0, n)) for n in mods]
         if use_masks:
-            uncovered = full
+            covered = 0
             for n, r in zip(mods, residues):
-                uncovered &= ~masks[n][r]
-            d = Fraction(uncovered.bit_count(), L)
+                covered |= masks[n][0] << r
+            d = Fraction(L - covered.bit_count(), L)
         else:
             d = exact_density(
                 ResidueSystem.from_pairs(zip(mods, residues)), density_guard
@@ -194,7 +180,6 @@ def sample_moments(
     return MomentReport(
         mean, total_sq / trials, variance, "monte-carlo",
         sample_count=trials, std_error=std_error,
-        bound_ratio=_variance_shape(T, variance),
     )
 
 

@@ -117,6 +117,40 @@ def naive_subsystem(dec, h: int) -> cs.ResidueSystem:
     return cs.ResidueSystem.from_pairs(sorted(pairs))
 
 
+def _dominated_pruned(moduli: list[int]) -> list[int]:
+    """Drop any modulus that is a multiple of another (its multiples are a subset)."""
+    out = []
+    for n in sorted(set(moduli)):
+        if not any(n % m == 0 for m in out):
+            out.append(n)
+    return out
+
+
+def subset_delta_plus(moduli) -> Fraction:
+    """Density of integers divisible by no member of moduli, by
+    inclusion-exclusion over subset lcms after dominated moduli are pruned;
+    the reference for delta_plus."""
+    mods = _dominated_pruned(list(moduli))
+    if 1 in mods:
+        return Fraction(0)
+
+    # every subset lcm divides D, so the terms are summed as integers over D
+    D = lcm(*mods)
+    total = 0
+
+    def walk(idx: int, cur_lcm: int, sign: int):
+        nonlocal total
+        if idx == len(mods):
+            return
+        walk(idx + 1, cur_lcm, sign)
+        nxt = lcm(cur_lcm, mods[idx])
+        total += sign * (D // nxt)
+        walk(idx + 1, nxt, -sign)
+
+    walk(0, 1, -1)
+    return 1 + Fraction(total, D)
+
+
 def pair_sums(mods: list[int]) -> tuple[Fraction, Fraction]:
     """(plain, refined) subtracted pair mass of the pair-correction bound.
 

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import math
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,12 +50,18 @@ class TestDensityCommand:
         assert report["result"]["delta"] == "1/6"
         assert report["result"]["witness"] == 7
 
-    def test_decomposition_route(self, capsys, tmp_path):
+    def test_planner_route(self, capsys, tmp_path):
+        # (40,80]: a period of 115 bits, past any scan
+        rnd = random.Random(0)
+        classes = [[n, rnd.randrange(n)] for n in range(41, 81)]
         path = tmp_path / "s.json"
-        path.write_text(json.dumps({"classes": [[2, 0], [3, 1], [6, 5]]}))
-        report = invoke_json(capsys, "density", "--input", str(path), "--Q", "2")
-        assert report["result"]["delta"] == "1/6"
-        assert report["result"]["method"] == "decomposition"
+        path.write_text(json.dumps({"classes": classes}))
+        result = invoke_json(capsys, "density", "--input", str(path))["result"]
+        assert result["method"] == "planner"
+        assert result["witness"] is None
+        assert result["period"] == math.lcm(*range(41, 81))
+        p, q = map(int, result["delta"].split("/"))
+        assert Fraction(p, q) == Fraction(result["uncovered_count"], result["period"])
 
     def test_text_input(self, capsys, tmp_path):
         path = tmp_path / "s.txt"

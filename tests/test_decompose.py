@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import coversieve as cs
+from coversieve import density
 from coversieve.core import GuardExceeded
 from coversieve.decompose import SmoothCoverError
 
@@ -133,20 +134,24 @@ class TestDecompositionIdentity:
             rep = cs.decomposition_identity(system, Q)
             assert rep.equal, f"{system} Q={Q}: {rep.lhs} != {rep.rhs}"
 
-    def test_density_decomposed_report(self):
-        rep = cs.density_decomposed(WORKED, 2)
-        assert rep.method == "decomposition"
-        assert rep.value == Fraction(1, 6)
-        assert rep.value == Fraction(rep.uncovered_count, rep.period)
+    def test_planner_on_worked(self, monkeypatch):
+        # a one-cell scan leaf leaves every step to the CRT splits
+        monkeypatch.setattr(density, "SCAN_LEAF", 1)
+        planned = density._split_density(WORKED.pairs(), 100)
+        assert planned == cs.decomposition_identity(WORKED, 2).rhs == Fraction(1, 6)
 
-    def test_density_decomposed_works_past_scan_guard(self):
-        # full period 144144 exceeds a 1e5 scan guard, but M = 144 and the
-        # rough subsystems live on {7, 11, 13}; the unrestricted scan is the
+    def test_planner_works_past_scan_guard(self, monkeypatch):
+        # full period 144144 exceeds a 1e5 scan guard; one component whose
+        # scan would pass the budget refuses, while splits down to leaves
+        # of 1e4 cells stay within it; the unrestricted scan is the
         # independent cross-check
         system = cs.ResidueSystem.from_pairs([(84, 5), (132, 17), (234, 8), (112, 51)])
         with pytest.raises(GuardExceeded):
             cs.exact_density(system, guard=10**5)
-        rep = cs.density_decomposed(system, 5, density_guard=10**5)
+        monkeypatch.setattr(density, "SCAN_LEAF", 10**4)
+        rep = cs.exact_density(system, guard=10**5)
+        assert (rep.method, rep.period) == ("planner", 144144)
+        assert rep.value == Fraction(rep.uncovered_count, rep.period)
         assert rep.value == cs.exact_density(system).value
 
 

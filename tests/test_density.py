@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -18,6 +19,7 @@ from conftest import (
     naive_is_exact_cover,
     naive_witness,
     random_system,
+    subset_delta_plus,
     unit_sum_distinct_sets,
 )
 
@@ -48,8 +50,12 @@ class TestExactDensity:
         assert cs.exact_density(cs.ResidueSystem.from_pairs([(1, 0), (7, 3)])).value == 0
 
     def test_guard_signal(self):
-        with pytest.raises(GuardExceeded):
+        # the CRT splits get the guard as their budget and refuse too, so
+        # the period guard's error is the one raised
+        with pytest.raises(GuardExceeded) as info:
             cs.exact_density(OPENING, guard=5)
+        assert (info.value.detail, info.value.estimate) == (
+            "scan period exceeds guard of 5 cells", 6)
 
     def test_matches_naive_scan(self):
         rnd = random.Random(11)
@@ -223,7 +229,7 @@ class TestDeltaPlus:
 
     def test_sieve_fallback_for_many_moduli(self):
         # 28 pairwise products of coprime prime powers: nothing dominated,
-        # so the subset expansion is out of range and the sieve path runs.
+        # 2^28 subsets and a period of 3.2e10, which the CRT splits reduce.
         # Multiples of some product = divisible by >= 2 of the prime powers,
         # whose probabilities are independent, giving a closed-form oracle.
         q = [16, 9, 5, 7, 11, 13, 17, 19]
@@ -237,6 +243,20 @@ class TestDeltaPlus:
         )
         assert cs.delta_plus(cs.ModuliSet.from_iterable(mods)) == none_hit + one_hit
 
+    def test_matches_subset_walk(self):
+        rnd = random.Random(17)
+        for _ in range(100):
+            mods = rnd.sample(range(2, 300), rnd.randint(0, 14))
+            if rnd.random() < 0.1:
+                mods.append(1)
+            assert cs.delta_plus(cs.ModuliSet.from_iterable(mods)) == subset_delta_plus(mods)
+
+    def test_guard_bounds_the_work(self):
+        S = cs.ModuliSet.from_iterable(range(30, 46))
+        with pytest.raises(GuardExceeded, match="density work"):
+            cs.delta_plus(S, guard=10)
+        assert cs.delta_plus(S) == subset_delta_plus(S.moduli)
+
     def test_delta_plus_is_max_over_choices(self):
         S = cs.ModuliSet.from_iterable([4, 6])
         best = max(
@@ -248,6 +268,53 @@ class TestDeltaPlus:
     def test_requires_distinct(self):
         with pytest.raises(ValueError):
             cs.delta_plus(cs.ModuliSet.from_iterable([4, 4]))
+
+
+class TestSplitDensity:
+    """The CRT-split engine behind exact_density past its guard and delta_plus."""
+
+    @pytest.mark.parametrize("leaf", [1, 7, 50])
+    def test_matches_naive_density(self, monkeypatch, leaf):
+        # a small scan leaf makes the splits, not the scan, do the work
+        monkeypatch.setattr(density, "SCAN_LEAF", leaf)
+        rnd = random.Random(19)
+        for _ in range(300):
+            system = random_system(rnd, allow_unit=True)
+            assert density._split_density(system.pairs(), 10**9) == naive_density(system)
+
+    def test_coprime_systems_match_alpha(self):
+        rnd = random.Random(23)
+        for _ in range(20):
+            mods = rnd.sample([2**5, 3**4, 5**3] + cs.primes_in(6, 3000), rnd.randint(5, 9))
+            system = cs.ResidueSystem.from_pairs((n, rnd.randrange(n)) for n in mods)
+            assert lcm(*mods) > 10**12
+            assert density._split_density(system.pairs(), 10**9) == cs.alpha(system)
+
+    def test_canonical_forms(self):
+        split = density._split_density
+        assert split([], 1) == 1
+        assert split([(7, 3), (1, 0)], 1) == 0
+        # repeats of 1 (mod 5) and classes inside 1 (mod 2) are dropped
+        # before any work, so one scan of 5 or 2 cells fits the budget
+        assert split([(5, 1), (5, 6), (5, -4)], 1 + 5) == Fraction(4, 5)
+        assert split([(2, 1), (6, 3), (10, 5), (30, 29)], 1 + 2) == Fraction(1, 2)
+        # coprime components are solved apart: 1 + 4 and 1 + 9 units, not 1 + 36
+        assert split([(4, 0), (9, 1)], 15) == Fraction(2, 3)
+        with pytest.raises(GuardExceeded):
+            split([(2, 0), (6, 1)], 6)
+
+    def test_split_limit_refuses_before_its_table(self):
+        # the period 2^23 * 15 passes the scan leaf, and its largest prime
+        # power q = 2^23 would give a table of 2^23 entries (64 MiB of pointers)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceeded) as info:
+                density._split_density([(2**23 * 3, 1), (2**23 * 5, 2)], 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.estimate == 2**23
+        assert peak < 1 << 20
 
 
 class TestDeltaMinus:

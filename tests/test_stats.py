@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import coversieve as cs
+from coversieve import stats
 from coversieve.core import GuardExceeded
 
-from conftest import enumerate_residue_choices, naive_moments
+from conftest import enumerate_residue_choices, naive_density, naive_moments
 
 
 def M(*mods):
@@ -188,15 +189,34 @@ class TestSampleMoments:
         a = cs.sample_moments(T, 200, seed=9)
         b = cs.sample_moments(T, 200, seed=9)
         assert a == b
-        # trial t is derived from (seed, t): recompute the first trials directly
-        total = Fraction(0)
-        for t in range(50):
-            rng = np.random.default_rng([9, t])
-            system = cs.ResidueSystem.from_pairs(
-                (n, int(rng.integers(0, n))) for n in T.moduli
-            )
-            total += cs.exact_density(system).value
-        assert cs.sample_moments(T, 50, seed=9).mean == total / 50
+        # trial t is derived from (seed, t): recompute the first trials
+        # directly, on the bitmask path (a repeated modulus, a modulus 1)
+        # and past the mask limit (lcm 739,024), where each trial is scanned
+        for T in (M(2, 4, 6), M(3, 4, 4, 6), M(1, 3, 5), M(11, 13, 16, 17, 19)):
+            total = total_sq = Fraction(0)
+            for t in range(50):
+                rng = np.random.default_rng([9, t])
+                system = cs.ResidueSystem.from_pairs(
+                    (n, int(rng.integers(0, n))) for n in T.moduli
+                )
+                small = T.product() < 10**4
+                d = naive_density(system) if small else cs.exact_density(system).value
+                total += d
+                total_sq += d * d
+            rep = cs.sample_moments(T, 50, seed=9)
+            assert (rep.mean, rep.second_moment) == (total / 50, total_sq / 50)
+
+    def test_builds_one_mask_per_modulus(self, monkeypatch):
+        tables = []
+        build = stats._class_mask_table
+
+        def spy(*args):
+            tables.append(build(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(stats, "_class_mask_table", spy)
+        cs.sample_moments(M(1, 3, 4, 4, 6, 9), 20)
+        assert {n: len(m) for n, m in tables[0][1].items()} == {1: 1, 3: 1, 4: 1, 6: 1, 9: 1}
 
     def test_se_formula_and_scaling(self):
         T = M(2, 4)
