@@ -267,32 +267,6 @@ def smooth_split(n: int, Q: float) -> tuple[int, int]:
     return smooth, rough
 
 
-def _membership_groups(splits, residues, M):
-    """Group h in [0, M) by admitting classes via the CRT fold; bits -> [count, h]."""
-    found = {(1 << len(splits)) - 1: [1, 0]}
-    mod = 1
-    for p, e in factorize(M).pairs:
-        q = p**e
-        free = sum(1 << i for i, (s, _) in enumerate(splits) if s % p)
-        table = [free] * q
-        for i, ((s, _), r) in enumerate(zip(splits, residues)):
-            if s % p == 0:
-                pa = gcd(s, q)
-                for x in range(r % pa, q, pa):
-                    table[x] |= 1 << i
-        cells: dict[int, list[int]] = {}
-        for x, tbits in enumerate(table):
-            cells.setdefault(tbits, [0, x])[0] += 1
-        inv = pow(mod, -1, q)
-        folded: dict[int, list[int]] = {}
-        for bits, (cnt, h) in found.items():
-            for tbits, (tcnt, x) in cells.items():
-                rep = h + mod * ((x - h) * inv % q)
-                folded.setdefault(bits & tbits, [0, rep])[0] += cnt * tcnt
-        found, mod = folded, mod * q
-    return found
-
-
 def _prime_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
     """Yield int64 arrays of the primes in (lo, hi], in ascending blocks."""
     if hi <= max(lo, 1):

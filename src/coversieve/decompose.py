@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 from .bounds import BoundCertificate, alpha, beta
-from .core import ResidueSystem, _membership_groups, lcm_guarded, smooth_split
+from .core import ResidueSystem, factorize, lcm_guarded, smooth_split
 from .density import DEFAULT_CELL_GUARD, exact_density
 
 DEFAULT_M_GUARD = 10**7
@@ -61,6 +61,32 @@ class Decomposition:
     splits: tuple[tuple[int, int], ...]  # (smooth, rough) per class
     groups: tuple[SubsystemGroup, ...]
     smooth_subsystem: ResidueSystem  # classes whose modulus is Q-smooth
+
+
+def _membership_groups(splits, residues, M):
+    """Group h in [0, M) by admitting classes via the CRT fold; bits -> [count, h]."""
+    found = {(1 << len(splits)) - 1: [1, 0]}
+    mod = 1
+    for p, e in factorize(M).pairs:
+        q = p**e
+        free = sum(1 << i for i, (s, _) in enumerate(splits) if s % p)
+        table = [free] * q
+        for i, ((s, _), r) in enumerate(zip(splits, residues)):
+            if s % p == 0:
+                pa = gcd(s, q)
+                for x in range(r % pa, q, pa):
+                    table[x] |= 1 << i
+        cells: dict[int, list[int]] = {}
+        for x, tbits in enumerate(table):
+            cells.setdefault(tbits, [0, x])[0] += 1
+        inv = pow(mod, -1, q)
+        folded: dict[int, list[int]] = {}
+        for bits, (cnt, h) in found.items():
+            for tbits, (tcnt, x) in cells.items():
+                rep = h + mod * ((x - h) * inv % q)
+                folded.setdefault(bits & tbits, [0, rep])[0] += cnt * tcnt
+        found, mod = folded, mod * q
+    return found
 
 
 def decompose(
@@ -109,7 +135,9 @@ def decompose(
 
 @dataclass(frozen=True)
 class IdentityReport:
-    lhs: Fraction  # delta(C) by direct scan
+    # delta(C) by exact_density: a direct scan within density_guard, past it
+    # the split engine, which groups residues by p-adic balls, not this fold
+    lhs: Fraction
     rhs: Fraction  # (1/M) sum_h delta(C_h)
     equal: bool
     M: int

@@ -27,17 +27,13 @@ from .core import (
     ModuliSet,
     ResidueClass,
     ResidueSystem,
-    _membership_groups,
     factorize,
     lcm_guarded,
 )
 
 DEFAULT_CELL_GUARD = 10**9
 # _split_density scans a component whose period is at most SCAN_LEAF cells
-# and refuses a split whose prime power, the size of its table, passes
-# SPLIT_LIMIT; the two are kept apart so that a smaller leaf still splits
 SCAN_LEAF = 2 * 10**6
-SPLIT_LIMIT = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -83,30 +79,32 @@ def _scan_uncovered(pairs, L: int) -> int:
 def _split_density(pairs, budget: int) -> Fraction:
     """Exact delta of the classes (n, r) in pairs, without a full-period scan.
 
-    For a prime power q exactly dividing the period, CRT gives
+    For a prime power q = p^e exactly dividing the period, CRT gives
     delta(C) = (1/q) sum over x mod q of delta(C_x), where C_x holds
-    (n/g, r mod n/g), g = gcd(n, q), for every class with x = r (mod g);
-    ``_membership_groups`` tabulates the x with equal C_x once.
+    (n/g, r mod n/g), g = gcd(n, q), for every class with x = r (mod g).
+    Each such condition is a p-adic ball of residues mod q, and two balls
+    nest or are disjoint, so the x with equal C_x are those whose deepest
+    ball is the same: no table over the q residues is built.
 
     Every (sub)system is first canonicalized: residues reduced, duplicates
     and classes lying inside another class dropped, so that a modulus 1
     gives 0 and the empty system 1.  Its density is the product over the
-    components of the shares-a-prime graph on its moduli.  A component
-    whose period is at most SCAN_LEAF cells is scanned; a larger one is
-    split on the largest prime power of its period.  Equal components are
-    solved once.
+    components of the shares-a-prime graph on its moduli.  A one-class
+    component has density 1 - 1/n; a component whose period is at most
+    SCAN_LEAF cells is scanned; any other is split on a prime dividing the
+    most of its moduli, with q its largest power there.  Equal components
+    are solved once.
 
-    The work is one unit per component solved plus the cells it scans or
-    the q it tabulates.  GuardExceeded is raised before the work passes
-    ``budget``, and before a split would tabulate more than SPLIT_LIMIT
-    residues.
+    The work is k^2 units per (sub)system of k classes canonicalized, plus
+    the cells of each scan and balls * classes per split.  GuardExceeded is
+    raised before the work passes ``budget``.
     """
     left = budget
     memo: dict[tuple, Fraction] = {}
 
     @cache  # subsystem moduli divide the input's, so they repeat
-    def prime_powers(n: int) -> list[int]:
-        return [p**e for p, e in factorize(n).pairs]
+    def prime_powers(n: int) -> list[tuple[int, int]]:
+        return [(p, p**e) for p, e in factorize(n).pairs]
 
     def spend(units: int) -> None:
         nonlocal left
@@ -118,6 +116,7 @@ def _split_density(pairs, budget: int) -> Fraction:
         left -= units
 
     def solve(pairs) -> Fraction:
+        spend(len(pairs) ** 2)
         kept: list[tuple[int, int]] = []
         for n, r in sorted({(n, r % n) for n, r in pairs}):
             if n == 1:
@@ -140,24 +139,37 @@ def _split_density(pairs, budget: int) -> Fraction:
             key = tuple(sorted(members))
             part = memo.get(key)
             if part is None:
-                spend(1)
-                if period <= SCAN_LEAF:
+                if len(key) == 1:
+                    part = Fraction(period - 1, period)
+                elif period <= SCAN_LEAF:
                     spend(period)
                     part = Fraction(_scan_uncovered(key, period), period)
                 else:
-                    q = max(pe for n, _ in key for pe in prime_powers(n))
-                    if q > SPLIT_LIMIT:
-                        raise GuardExceeded(
-                            f"split prime power {q} exceeds {SPLIT_LIMIT}", estimate=q
-                        )
-                    spend(q)
-                    splits = [(gcd(n, q), n // gcd(n, q)) for n, _ in key]
-                    groups = _membership_groups(splits, [r for _, r in key], q)
+                    # split on the prime dividing the most moduli, which
+                    # cuts the most edges of the component; ties go to the
+                    # larger prime power
+                    shares: dict[int, tuple[int, int]] = {}  # p -> (moduli, q)
+                    for n, _ in key:
+                        for p, pe in prime_powers(n):
+                            m, top = shares.get(p, (0, 1))
+                            shares[p] = (m + 1, max(top, pe))
+                    _, q = max(shares.values())
+                    splits = [(gcd(n, q), n, r) for n, r in key]
+                    # the ball (g, s) holds the x = s (mod g) of [0, q)
+                    balls = {(1, 0)} | {(g, r % g) for g, _, r in splits}
+                    spend(len(balls) * len(key))
+                    # x lies in its deepest ball and in that ball's ancestors:
+                    # the q/g cells of a ball less those of its child balls
+                    count = {(g, s): q // g for g, s in balls}
+                    for g, s in balls - {(1, 0)}:
+                        parent = max((h, t) for h, t in balls if h < g and s % h == t)
+                        count[parent] -= q // g
                     total = Fraction(0)
-                    for bits, (count, _) in groups.items():
-                        sub = [(rough, r) for i, ((_, rough), (_, r))
-                               in enumerate(zip(splits, key)) if bits >> i & 1]
-                        total += count * solve(sub)
+                    for (g, s), cells in count.items():
+                        if cells:
+                            sub = [(n // h, r) for h, n, r in splits
+                                   if g % h == 0 and s % h == r % h]
+                            total += cells * solve(sub)
                     part = total / q
                 memo[key] = part
             value *= part

@@ -279,8 +279,8 @@ def test_criterion_11_certificates_where_scanning_is_infeasible():
         cert = cs.positivity_certificate(system, Q)
         assert cert.conclusion == "positive", f"N={N}"
         assert cert.lower_bound > 0
-        if N <= 50:  # the CRT splits still reach the exact density here
-            assert cert.lower_bound <= cs.exact_density(system).value
+        # the CRT splits still reach the exact density here
+        assert cert.lower_bound <= cs.exact_density(system).value
 
     # spot-validate soundness on subfamilies with scannable periods
     spots = {

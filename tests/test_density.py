@@ -3,7 +3,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -257,6 +257,12 @@ class TestDeltaPlus:
             cs.delta_plus(S, guard=10)
         assert cs.delta_plus(S) == subset_delta_plus(S.moduli)
 
+    @pytest.mark.parametrize("mods", [[2**21], [2000003], [2**21 * 3, 2**21 * 5]])
+    def test_moduli_past_the_scan_leaf(self, mods):
+        # one-class components take 1 - 1/n; a shared 2^21 splits without
+        # a table over its 2^21 residues
+        assert cs.delta_plus(cs.ModuliSet.from_iterable(mods)) == subset_delta_plus(mods)
+
     def test_delta_plus_is_max_over_choices(self):
         S = cs.ModuliSet.from_iterable([4, 6])
         best = max(
@@ -292,29 +298,51 @@ class TestSplitDensity:
 
     def test_canonical_forms(self):
         split = density._split_density
-        assert split([], 1) == 1
-        assert split([(7, 3), (1, 0)], 1) == 0
-        # repeats of 1 (mod 5) and classes inside 1 (mod 2) are dropped
-        # before any work, so one scan of 5 or 2 cells fits the budget
-        assert split([(5, 1), (5, 6), (5, -4)], 1 + 5) == Fraction(4, 5)
-        assert split([(2, 1), (6, 3), (10, 5), (30, 29)], 1 + 2) == Fraction(1, 2)
-        # coprime components are solved apart: 1 + 4 and 1 + 9 units, not 1 + 36
-        assert split([(4, 0), (9, 1)], 15) == Fraction(2, 3)
+        assert split([], 0) == 1
+        # k^2 units read k classes; a modulus 1 then gives 0 before any scan
+        assert split([(7, 3), (1, 0)], 4) == 0
+        # repeats of 1 (mod 5) and classes inside 1 (mod 2) are dropped,
+        # and the one class left has the closed form 1 - 1/n
+        assert split([(5, 1), (5, 6), (5, -4)], 9) == Fraction(4, 5)
+        assert split([(2, 1), (6, 3), (10, 5), (30, 29)], 16) == Fraction(1, 2)
+        assert split([(2**61 - 1, 5)], 1) == Fraction(2**61 - 2, 2**61 - 1)
+        # coprime components are solved apart: 16 + 4 + 9 units, not 16 + 36
+        pairs = [(2, 0), (4, 1), (3, 0), (9, 1)]
+        assert split(pairs, 29) == Fraction(1, 4) * Fraction(5, 9)
         with pytest.raises(GuardExceeded):
-            split([(2, 0), (6, 1)], 6)
+            split(pairs, 28)
 
-    def test_split_limit_refuses_before_its_table(self):
-        # the period 2^23 * 15 passes the scan leaf, and its largest prime
-        # power q = 2^23 would give a table of 2^23 entries (64 MiB of pointers)
+    def test_large_prime_power_splits_without_a_table(self):
+        # the period 2^23 * 15 passes the scan leaf; a split on q = 2^23
+        # groups its residues by the two classes' balls, so neither memory
+        # nor work grows with q: 4 units read the system, 3 balls * 2
+        # classes split it, and each of the two one-class leaves costs 1
+        pairs = [(2**23 * 3, 1), (2**23 * 5, 2)]
         tracemalloc.start()
         try:
-            with pytest.raises(GuardExceeded) as info:
-                density._split_density([(2**23 * 3, 1), (2**23 * 5, 2)], 10**9)
+            value = density._split_density(pairs, 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert info.value.estimate == 2**23
+        # 1 and 2 differ mod 2^23, so the two classes are disjoint
+        assert value == 1 - Fraction(1, 2**23 * 3) - Fraction(1, 2**23 * 5)
         assert peak < 1 << 20
+        with pytest.raises(GuardExceeded):
+            density._split_density(pairs, 11)
+
+    def test_budget_counts_the_classes_read(self):
+        # one shared prime over 501 moduli: the 501^2 units of reading the
+        # system are refused before any work, and the full computation
+        # splits on 2, which every modulus shares, into coprime leaves
+        odd = cs.primes_in(2, 3600)[:500]
+        mods = [2**20 * 3] + [2 * p for p in odd]
+        with pytest.raises(GuardExceeded) as info:
+            cs.delta_plus(cs.ModuliSet.from_iterable(mods), guard=10**5)
+        assert info.value.estimate == 501**2
+        # an odd x is uncovered; x = 2y is iff y has none of the odd primes
+        # (2^19 * 3 | y already implies 3 | y)
+        none_odd = prod(Fraction(p - 1, p) for p in odd)
+        assert cs.delta_plus(cs.ModuliSet.from_iterable(mods)) == (1 + none_odd) / 2
 
 
 class TestDeltaMinus:
