@@ -21,7 +21,7 @@ for g in dec.groups:
 ident = cs.decomposition_identity(C, 2)
 print(f"  identity: delta(C) = {ident.lhs} = average of subsystem deltas = {ident.rhs}")
 
-print(f"\n  average beta over subsystems: {cs.averaged_beta(C, 2).value}")
+print(f"\n  average beta over subsystems: {cs.averaged_beta(C, 2)}")
 aa = cs.averaged_alpha_floor(C, 2)
 print(f"  average alpha {aa.avg_alpha} vs floor alpha(C)^((1+1/Q)/delta(C')) "
       f"= {aa.floor:.4f}: holds = {aa.holds}")

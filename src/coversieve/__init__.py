@@ -45,7 +45,6 @@ from .core import (
 )
 from .decompose import (
     AveragedAlpha,
-    AveragedBeta,
     Decomposition,
     IdentityReport,
     SmoothCoverError,

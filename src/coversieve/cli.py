@@ -242,7 +242,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--Q", type=float, required=True)
     sp.add_argument("--guard", type=int, default=DEFAULT_M_GUARD, help="max M")
     sp.add_argument("--check-identity", action="store_true",
-                    help="also scan the full period and verify the density identity")
+                    help="also compute delta(C) directly (a full-period scan, or the split "
+                         "engine past the scan guard) and verify the density identity")
 
     sp = add("delta-minus", "minimum uncovered density over residue choices",
              epilog="CSV columns: value, optimal, reciprocal_sum")

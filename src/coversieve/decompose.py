@@ -11,20 +11,21 @@ whose full period is far beyond any direct scan.
 Many h share an identical C_h, so subsystems are stored sparsely as
 distinct membership patterns (int bitsets over the classes) with their
 h-counts.  Class i admits h iff h = r_i mod gcd(s_i, q) for every prime
-power q exactly dividing M, so one table per q, indexed by h mod q and
-deduplicated, is folded into the rest by CRT without visiting [0, M).
+power q = p^e exactly dividing M: a p-adic ball of residues mod q.  Per q,
+the h mod q are grouped by the deepest ball holding them, as the density
+engine splits, and the groups are folded into the rest by CRT; nothing is
+built over [0, q) or [0, M), so memory grows with the classes, not with M.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .bounds import BoundCertificate, alpha, beta
 from .core import ResidueSystem, factorize, lcm_guarded, smooth_split
-from .density import DEFAULT_CELL_GUARD, exact_density
+from .density import DEFAULT_CELL_GUARD, _ball_groups, exact_density
 
 DEFAULT_M_GUARD = 10**7
 # the averaged-alpha floor is a float power, so it is met up to this slack
@@ -69,20 +70,19 @@ def _membership_groups(splits, residues, M):
     mod = 1
     for p, e in factorize(M).pairs:
         q = p**e
-        free = sum(1 << i for i, (s, _) in enumerate(splits) if s % p)
-        table = [free] * q
+        # class i admits the x mod q of the ball r_i mod gcd(s_i, q); the
+        # classes coprime to p pin the root ball together
+        pinned = [(1, 0, sum(1 << i for i, (s, _) in enumerate(splits) if s % p))]
         for i, ((s, _), r) in enumerate(zip(splits, residues)):
             if s % p == 0:
                 pa = gcd(s, q)
-                for x in range(r % pa, q, pa):
-                    table[x] |= 1 << i
-        cells: dict[int, list[int]] = {}
-        for x, tbits in enumerate(table):
-            cells.setdefault(tbits, [0, x])[0] += 1
+                pinned.append((pa, r % pa, 1 << i))
+        # items are disjoint bits, so their sum is the group's pattern
+        cells = [(sum(bits), tcnt, x) for tcnt, bits, x in _ball_groups(pinned, q, p)]
         inv = pow(mod, -1, q)
         folded: dict[int, list[int]] = {}
         for bits, (cnt, h) in found.items():
-            for tbits, (tcnt, x) in cells.items():
+            for tbits, tcnt, x in cells:
                 rep = h + mod * ((x - h) * inv % q)
                 folded.setdefault(bits & tbits, [0, rep])[0] += cnt * tcnt
         found, mod = folded, mod * q
@@ -136,7 +136,9 @@ def decompose(
 @dataclass(frozen=True)
 class IdentityReport:
     # delta(C) by exact_density: a direct scan within density_guard, past it
-    # the split engine, which groups residues by p-adic balls, not this fold
+    # the split engine, whose ball grouping this decomposition shares; the
+    # independent checks are the test oracles naive_membership and
+    # naive_density
     lhs: Fraction
     rhs: Fraction  # (1/M) sum_h delta(C_h)
     equal: bool
@@ -159,29 +161,10 @@ def decomposition_identity(
     return IdentityReport(lhs, rhs, lhs == rhs, dec.M)
 
 
-def _diagnostic_shape(system: ResidueSystem, Q: float) -> float:
-    """s^2 log^2(QK) / Q with K read off the modulus range (diagnostic only)."""
-    mods = [c.modulus for c in system.classes]
-    if not mods:
-        return 0.0
-    s = system.multiplicity()
-    K = max(mods) / min(mods)
-    return s * s * math.log(Q * max(K, 1.0)) ** 2 / Q
-
-
-@dataclass(frozen=True)
-class AveragedBeta:
-    value: Fraction  # (1/M) sum_h beta(C_h), exact
-    diagnostic_shape: float
-
-
-def averaged_beta(
-    system: ResidueSystem, Q: float, guard_m: int = DEFAULT_M_GUARD
-) -> AveragedBeta:
-    """Exact average of beta over the subsystems, with the asymptotic shape."""
+def averaged_beta(system: ResidueSystem, Q: float, guard_m: int = DEFAULT_M_GUARD) -> Fraction:
+    """Exact (1/M) sum_h beta(C_h), the average of beta over the subsystems."""
     dec = decompose(system, Q, guard_m)
-    total = sum((g.count * beta(g.subsystem) for g in dec.groups), Fraction(0))
-    return AveragedBeta(total / dec.M, _diagnostic_shape(system, Q))
+    return sum((g.count * beta(g.subsystem) for g in dec.groups), Fraction(0)) / dec.M
 
 
 @dataclass(frozen=True)

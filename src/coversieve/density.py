@@ -76,6 +76,57 @@ def _scan_uncovered(pairs, L: int) -> int:
     )
 
 
+def _ball_groups(pinned, q: int, p: int) -> list[tuple[int, list, int]]:
+    """Group x in [0, q), q = p^e, by the deepest pinned p-adic ball holding x.
+
+    Each (g, s, item) of ``pinned``, g | q and 0 <= s < g, pins the ball
+    x = s (mod g); the root (1, 0) is always a ball.  Two balls nest or are
+    disjoint.  Returns (cells, items, least) per nonempty group in order of
+    least x: q/g less the cells of the child balls, the items of every ball
+    holding the group, and its least x.  Nothing is built over the q
+    residues; the work is O(balls * e).
+    """
+    own: dict[tuple[int, int], list] = {(1, 0): []}
+    for g, s, item in pinned:
+        own.setdefault((g, s), []).append(item)
+    items = {(1, 0): own[1, 0]}
+    holes: dict[tuple[int, int], list] = {ball: [] for ball in own}
+    for g, s in sorted(own)[1:]:  # a parent comes before its children
+        h = g // p
+        while (h, s % h) not in own:
+            h //= p
+        holes[h, s % h].append((g, s))
+        items[g, s] = items[h, s % h] + own[g, s]
+
+    def least(g: int, s: int, inside: list) -> int | None:
+        """Least x = s (mod g) of [0, q) outside the disjoint balls inside,
+        each strictly within (g, s); None when they fill it."""
+        below: dict[int, list] = {}  # child residue mod g*p -> its holes
+        for hole in inside:
+            below.setdefault(hole[1] % (g * p), []).append(hole)
+        # a child holding no hole starts with its least element: the
+        # one with the lowest free digit d is s + d*g
+        digits = sorted((t - s) // g for t in below)
+        d = next((i for i, u in enumerate(digits) if i != u), len(digits))
+        best = s + d * g if d < p else None
+        for t, sub in below.items():
+            # a child that is itself a hole has nothing left, and every x
+            # of child t is at least t
+            if sub[0][0] != g * p and (best is None or t < best):
+                x = least(g * p, t, sub)
+                if x is not None and (best is None or x < best):
+                    best = x
+        return best
+
+    groups = []
+    for (g, s), inside in holes.items():
+        cells = q // g - sum(q // h for h, _ in inside)
+        if cells:
+            groups.append((cells, items[g, s], least(g, s, inside) if inside else s))
+    groups.sort(key=lambda group: group[2])
+    return groups
+
+
 def _split_density(pairs, budget: int) -> Fraction:
     """Exact delta of the classes (n, r) in pairs, without a full-period scan.
 
@@ -84,7 +135,8 @@ def _split_density(pairs, budget: int) -> Fraction:
     (n/g, r mod n/g), g = gcd(n, q), for every class with x = r (mod g).
     Each such condition is a p-adic ball of residues mod q, and two balls
     nest or are disjoint, so the x with equal C_x are those whose deepest
-    ball is the same: no table over the q residues is built.
+    ball is the same: ``_ball_groups`` finds them without a table over the
+    q residues.
 
     Every (sub)system is first canonicalized: residues reduced, duplicates
     and classes lying inside another class dropped, so that a modulus 1
@@ -153,23 +205,16 @@ def _split_density(pairs, budget: int) -> Fraction:
                         for p, pe in prime_powers(n):
                             m, top = shares.get(p, (0, 1))
                             shares[p] = (m + 1, max(top, pe))
-                    _, q = max(shares.values())
-                    splits = [(gcd(n, q), n, r) for n, r in key]
-                    # the ball (g, s) holds the x = s (mod g) of [0, q)
-                    balls = {(1, 0)} | {(g, r % g) for g, _, r in splits}
+                    _, q, p = max((m, top, p) for p, (m, top) in shares.items())
+                    pinned = []
+                    for n, r in key:
+                        g = gcd(n, q)
+                        pinned.append((g, r % g, (n // g, r)))
+                    balls = {(1, 0)} | {(g, s) for g, s, _ in pinned}
                     spend(len(balls) * len(key))
-                    # x lies in its deepest ball and in that ball's ancestors:
-                    # the q/g cells of a ball less those of its child balls
-                    count = {(g, s): q // g for g, s in balls}
-                    for g, s in balls - {(1, 0)}:
-                        parent = max((h, t) for h, t in balls if h < g and s % h == t)
-                        count[parent] -= q // g
                     total = Fraction(0)
-                    for (g, s), cells in count.items():
-                        if cells:
-                            sub = [(n // h, r) for h, n, r in splits
-                                   if g % h == 0 and s % h == r % h]
-                            total += cells * solve(sub)
+                    for cells, sub, _ in _ball_groups(pinned, q, p):
+                        total += cells * solve(sub)
                     part = total / q
                 memo[key] = part
             value *= part

@@ -117,6 +117,49 @@ def naive_subsystem(dec, h: int) -> cs.ResidueSystem:
     return cs.ResidueSystem.from_pairs(sorted(pairs))
 
 
+def table_membership_groups(splits, residues, M):
+    """decompose's membership fold with one table entry per residue mod q:
+    each prime power q of M gets a q-entry list of class bitsets,
+    deduplicated by first occurrence and folded into the rest by CRT;
+    the reference for the fold over p-adic balls, down to the order of
+    the groups and their representatives.  bits -> [count, h]."""
+    found = {(1 << len(splits)) - 1: [1, 0]}
+    mod = 1
+    for p, e in cs.factorize(M).pairs:
+        q = p**e
+        free = sum(1 << i for i, (s, _) in enumerate(splits) if s % p)
+        table = [free] * q
+        for i, ((s, _), r) in enumerate(zip(splits, residues)):
+            if s % p == 0:
+                pa = gcd(s, q)
+                for x in range(r % pa, q, pa):
+                    table[x] |= 1 << i
+        cells: dict[int, list[int]] = {}
+        for x, tbits in enumerate(table):
+            cells.setdefault(tbits, [0, x])[0] += 1
+        inv = pow(mod, -1, q)
+        folded: dict[int, list[int]] = {}
+        for bits, (cnt, h) in found.items():
+            for tbits, (tcnt, x) in cells.items():
+                rep = h + mod * ((x - h) * inv % q)
+                folded.setdefault(bits & tbits, [0, rep])[0] += cnt * tcnt
+        found, mod = folded, mod * q
+    return found
+
+
+def naive_ball_groups(pinned, q: int) -> list[tuple[int, list, int]]:
+    """(cells, sorted items, least x) per group of the x in [0, q) with one
+    deepest pinned ball, in order of least x, by testing every x against
+    every ball (g, s, item); the reference for density._ball_groups."""
+    groups: dict[tuple[int, int], list] = {}
+    for x in range(q):
+        holding = [(g, s, item) for g, s, item in pinned if x % g == s]
+        deepest = max([(1, 0)] + [(g, s) for g, s, _ in holding])
+        group = groups.setdefault(deepest, [0, sorted(item for _, _, item in holding), x])
+        group[0] += 1
+    return [tuple(group) for group in groups.values()]
+
+
 def _dominated_pruned(moduli: list[int]) -> list[int]:
     """Drop any modulus that is a multiple of another (its multiples are a subset)."""
     out = []

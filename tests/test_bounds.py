@@ -199,7 +199,7 @@ class TestPairKernelOracle:
                 bound += g.count * max(Fraction(0), a - plain)
                 avg_beta += g.count * plain
             assert cert.lower_bound == bound / dec.M
-            assert cs.averaged_beta(system, Q).value == avg_beta / dec.M
+            assert cs.averaged_beta(system, Q) == avg_beta / dec.M
 
     def test_divisor_cache_is_bounded(self):
         # one entry per distinct modulus seen; the bound caps its memory

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,14 @@ import pytest
 import coversieve as cs
 from coversieve import density
 from coversieve.core import GuardExceeded
-from coversieve.decompose import SmoothCoverError
+from coversieve.decompose import SmoothCoverError, _membership_groups
 
-from conftest import naive_membership, naive_subsystem, random_system
+from conftest import (
+    naive_membership,
+    naive_subsystem,
+    random_system,
+    table_membership_groups,
+)
 
 WORKED = cs.ResidueSystem.from_pairs([(2, 0), (3, 1), (6, 5)])
 
@@ -114,6 +120,71 @@ def test_groups_match_naive_membership(system, Q):
         assert patterns[g.representative] == frozenset(g.class_indices)
 
 
+def _nested_smooth_systems(count: int):
+    """Seeded systems on moduli 2^a 3^b 5^c {1, 7, 11}, half of the
+    residues read off one shared x so that the p-adic balls nest."""
+    rnd = random.Random(48)
+    for _ in range(count):
+        x = rnd.randrange(10**6)
+        pairs = []
+        for _ in range(rnd.randint(1, 10)):
+            n = 2 ** rnd.randint(0, 6) * 3 ** rnd.randint(0, 4) * 5 ** rnd.randint(0, 2)
+            n *= rnd.choice([1, 7, 11])
+            pairs.append((n, x % n if rnd.random() < 0.5 else rnd.randrange(n)))
+        yield cs.ResidueSystem.from_pairs(pairs), rnd.choice([2, 3, 5, 7])
+
+
+def _assert_matches_table_fold(system, Q):
+    dec = cs.decompose(system, Q)
+    residues = [c.residue for c in system.classes]
+    table = table_membership_groups(dec.splits, residues, dec.M)
+    # the same patterns, counts and representatives, in the same order
+    assert list(_membership_groups(dec.splits, residues, dec.M).items()) == list(table.items())
+    assert [
+        (sum(1 << i for i in g.class_indices), g.count, g.representative) for g in dec.groups
+    ] == [(bits, cnt, rep) for bits, (cnt, rep) in sorted(table.items(), key=lambda kv: kv[1][1])]
+
+
+@pytest.mark.parametrize("system, Q", _oracle_cases())
+def test_groups_match_table_fold(system, Q):
+    _assert_matches_table_fold(system, Q)
+
+
+def test_nested_smooth_groups_match_table_fold():
+    for system, Q in _nested_smooth_systems(300):
+        _assert_matches_table_fold(system, Q)
+
+
+def _odd_and_powers_of_two():
+    # M = 2^23 at Q = 2: a table over the residues mod M holds 2^23 ints
+    rnd = random.Random(3)
+    mods = list(range(3, 202, 2)) + [2**j for j in range(1, 24)]
+    return cs.ResidueSystem.from_pairs((n, rnd.randrange(n)) for n in mods)
+
+
+def test_memory_does_not_grow_with_m():
+    system = _odd_and_powers_of_two()
+    cs.factorize(2)  # fills the one-time smallest-prime-factor table
+    tracemalloc.start()
+    try:
+        dec = cs.decompose(system, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.M == 2**23 and len(dec.groups) == 24
+    assert peak < 1 << 20
+
+
+def test_chain_representatives():
+    # 2^(j-1) - 1 (mod 2^j) for j = 1..23 are disjoint; the h in none of
+    # them are -1 (mod 2^23), so the least h of the groups are 2^j - 1
+    system = cs.ResidueSystem.from_pairs((2**j, 2 ** (j - 1) - 1) for j in range(1, 24))
+    dec = cs.decompose(system, 2)
+    assert dec.M == 2**23
+    assert [g.representative for g in dec.groups] == [2**j - 1 for j in range(24)]
+    assert [g.count for g in dec.groups] == [2 ** (23 - j) for j in range(1, 24)] + [1]
+
+
 class TestDecompositionIdentity:
     def test_worked_example(self):
         rep = cs.decomposition_identity(WORKED, 2)
@@ -157,14 +228,12 @@ class TestDecompositionIdentity:
 
 class TestAveragedBeta:
     def test_worked_example(self):
-        avg = cs.averaged_beta(WORKED, 2)
-        assert avg.value == Fraction(1, 18)
-        assert avg.diagnostic_shape > 0
+        assert cs.averaged_beta(WORKED, 2) == Fraction(1, 18)
 
     def test_zero_when_rough_parts_coprime(self):
         system = cs.ResidueSystem.from_pairs([(6, 1), (10, 3), (21, 2)])
         # rough parts for Q=3 are 1, 5, 7: pairwise coprime in every subsystem
-        assert cs.averaged_beta(system, 3).value == 0
+        assert cs.averaged_beta(system, 3) == 0
 
     def test_matches_direct_per_h_average(self):
         rnd = random.Random(44)
@@ -175,7 +244,7 @@ class TestAveragedBeta:
             direct = sum(
                 (cs.beta(naive_subsystem(dec, h)) for h in range(dec.M)), Fraction(0)
             ) / dec.M
-            assert cs.averaged_beta(system, Q).value == direct
+            assert cs.averaged_beta(system, Q) == direct
 
 
 class TestAveragedAlphaFloor:

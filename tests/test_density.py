@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coversieve as cs
 from coversieve import density
@@ -14,6 +15,7 @@ from coversieve.core import GuardExceeded
 from conftest import (
     enumerate_residue_choices,
     exact_cover_exists,
+    naive_ball_groups,
     naive_density,
     naive_greedy_peel,
     naive_is_exact_cover,
@@ -274,6 +276,81 @@ class TestDeltaPlus:
     def test_requires_distinct(self):
         with pytest.raises(ValueError):
             cs.delta_plus(cs.ModuliSet.from_iterable([4, 4]))
+
+
+# the largest e with p^e <= 5^5 for each p drawn
+_MAX_DEPTH = {2: 11, 3: 7, 5: 5, 7: 4}
+
+
+@st.composite
+def _pinned_balls(draw):
+    """(q, p, pinned) with q = p^e <= 5^5 and up to 12 balls (g, s, i);
+    half the residues are read off a few shared x, so that balls nest."""
+    p = draw(st.sampled_from(sorted(_MAX_DEPTH)))
+    e = draw(st.integers(0, _MAX_DEPTH[p]))
+    q = p**e
+    shared = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=3))
+    pinned = []
+    for i in range(draw(st.integers(0, 12))):
+        g = p ** draw(st.integers(0, e))
+        s = draw(st.one_of(st.sampled_from(shared).map(lambda x: x % g),
+                           st.integers(0, g - 1)))
+        pinned.append((g, s, i))
+    return q, p, pinned
+
+
+def _sorted_items(groups):
+    return [(cells, sorted(items), least) for cells, items, least in groups]
+
+
+class TestBallGroups:
+    """density._ball_groups against a per-x grouping of [0, q)."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_pinned_balls())
+    def test_matches_per_x_grouping(self, drawn):
+        q, p, pinned = drawn
+        assert _sorted_items(density._ball_groups(pinned, q, p)) == naive_ball_groups(pinned, q)
+
+    def test_chain_puts_the_root_past_its_children(self):
+        # 2^(j-1) - 1 (mod 2^j) are disjoint and leave only x = -1 (mod 2^12)
+        # to the root, far past its first child
+        q = 2**12
+        pinned = [(2**j, 2 ** (j - 1) - 1, j) for j in range(1, 13)]
+        groups = density._ball_groups(pinned, q, 2)
+        assert _sorted_items(groups) == naive_ball_groups(pinned, q)
+        assert [least for _, _, least in groups] == [2**j - 1 for j in range(13)]
+        assert groups[-1] == (1, [], q - 1)
+
+    def test_repeated_balls_keep_every_item(self):
+        pinned = [(9, 4, "a"), (3, 1, "b"), (9, 4, "c"), (3, 1, "d"), (1, 0, "e")]
+        groups = density._ball_groups(pinned, 27, 3)
+        assert _sorted_items(groups) == naive_ball_groups(pinned, 27)
+        assert groups[1] == (6, ["e", "b", "d"], 1)
+        assert groups[2] == (3, ["e", "b", "d", "a", "c"], 4)
+
+    def test_root_alone(self):
+        assert density._ball_groups([], 3**5, 3) == [(3**5, [], 0)]
+        assert density._ball_groups([(1, 0, "x")], 1, 5) == [(1, ["x"], 0)]
+
+    def test_full_depth_balls(self):
+        # points of [0, q) pinned as balls of depth e; the ball 7 (mod 25)
+        # holds two of them, so its own least x is 57
+        q = 5**3
+        pinned = [(q, 0, 0), (q, 7, 1), (q, 124, 2), (25, 7, 3), (q, 32, 4)]
+        groups = density._ball_groups(pinned, q, 5)
+        assert _sorted_items(groups) == naive_ball_groups(pinned, q)
+        assert [least for _, _, least in groups] == [0, 1, 7, 32, 57, 124]
+        # all of [0, q) pinned point by point leaves the root nothing
+        points = [(7**2, x, x) for x in range(7**2)]
+        assert _sorted_items(density._ball_groups(points, 7**2, 7)) == naive_ball_groups(points, 7**2)
+
+    def test_large_prime_reads_only_the_pinned_digits(self):
+        # q = p is far too large to walk: the root's least x is the least
+        # residue no class pins
+        p = 2**61 - 1
+        groups = density._ball_groups([(p, 0, "a"), (p, 2, "b"), (p, 1, "c")], p, p)
+        assert groups == [(1, ["a"], 0), (1, ["c"], 1), (1, ["b"], 2), (p - 3, [], 3)]
 
 
 class TestSplitDensity:
