@@ -17,7 +17,6 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    SEGMENT_SIZE,
     GuardExceeded,
     ResidueSystem,
     crt_coprime,
@@ -27,7 +26,7 @@ from .core import (
     _prime_segments,
 )
 from .decompose import SmoothCoverError
-from .density import DEFAULT_CELL_GUARD, uncovered_witness
+from .density import DEFAULT_CELL_GUARD, _peel, _uncovered_blocks, uncovered_witness
 
 
 @dataclass(frozen=True)
@@ -56,31 +55,6 @@ class GreedyTrace:
         return Fraction(self.final_uncovered_count, self.window)
 
 
-def _uncovered_blocks(window: int, chosen: dict[int, int]) -> list[np.ndarray]:
-    """Ascending positions in [0, window) that no class (n, r) of ``chosen``
-    covers, one array per SEGMENT_SIZE cells of the window (int32 while
-    every position fits)."""
-    dtype = np.int32 if window < 2**31 else np.int64
-    blocks = []
-    for lo in range(0, window, SEGMENT_SIZE):
-        width = min(SEGMENT_SIZE, window - lo)
-        unc = np.ones(width, dtype=bool)
-        for n, r in chosen.items():
-            unc[(r - lo) % n::n] = False
-        blocks.append(np.arange(lo, lo + width, dtype=dtype)[unc])
-    return blocks
-
-
-def _residues(positions: np.ndarray, j: int) -> np.ndarray:
-    """positions % j for nonnegative positions, in one new array.  numpy's
-    floor division by a scalar is several times faster than its remainder
-    (0.19 against 1.3 ms on 2^19 int32 values, numpy 2.4), so this form
-    takes about half the time of ``positions % j``."""
-    res = positions // j
-    res *= j
-    return np.subtract(positions, res, out=res)
-
-
 def greedy_cover(N: int, K: int, seed: int = 0, window: int | None = None) -> GreedyTrace:
     """Random residues on (N, 2N], then greedy choices on (2N, KN].
 
@@ -91,9 +65,10 @@ def greedy_cover(N: int, K: int, seed: int = 0, window: int | None = None) -> Gr
     already-chosen class of every divisor of j among the random moduli
     whenever any such class exists (smallest residue on ties).  Densities
     are measured as exact fractions of the window, so passing the full
-    period as the window makes every count exact.  The uncovered cells are
-    kept as ascending positions, block by block, so a greedy step costs
-    O(cells still uncovered) rather than O(window).
+    period as the window makes every count exact.  Each greedy choice is a
+    ``density._peel`` step, O(cells still uncovered).  A window above
+    DEFAULT_CELL_GUARD cells, whose positions would take about 2 bytes per
+    cell, raises GuardExceeded before anything is painted.
     """
     if N < 1 or K < 2:
         raise ValueError("require N >= 1 and K >= 2")
@@ -101,12 +76,17 @@ def greedy_cover(N: int, K: int, seed: int = 0, window: int | None = None) -> Gr
         window = 10 * K * N
     if window < K * N:
         raise ValueError("window too small: need window >= K*N")
+    if window > DEFAULT_CELL_GUARD:
+        raise GuardExceeded(
+            f"greedy window {window} exceeds guard of {DEFAULT_CELL_GUARD} cells",
+            estimate=window,
+        )
 
     rng = np.random.default_rng(seed)
     chosen: dict[int, int] = {}
     for n in range(N + 1, 2 * N + 1):
         chosen[n] = int(rng.integers(0, n))
-    blocks = _uncovered_blocks(window, chosen)
+    blocks = _uncovered_blocks(chosen.items(), window)
     after_random = sum(b.size for b in blocks)
 
     steps = []
@@ -116,18 +96,8 @@ def greedy_cover(N: int, K: int, seed: int = 0, window: int | None = None) -> Gr
         for d in divisors:
             admissible[chosen[d] % d::d] = False
         f = int(admissible.sum())
-
-        counts = np.zeros(j, dtype=np.int64)
-        for b in blocks:
-            counts += np.bincount(_residues(b, j), minlength=j)
-        if f > 0:
-            counts[~admissible] = -1
-        r = int(np.argmax(counts))  # first maximum = smallest residue
+        r, blocks = _peel(blocks, j, admissible if f > 0 else None)
         chosen[j] = r
-        # residues are recomputed rather than kept from the count: holding
-        # them for every block doubled the live arrays, and the heap they
-        # fragmented raised the next job's peak memory by up to 16 MiB
-        blocks = [b[_residues(b, j) != r] for b in blocks]
         steps.append(GreedyStep(j, divisors, f, r, sum(b.size for b in blocks)))
 
     system = ResidueSystem.from_pairs(sorted(chosen.items()))
@@ -344,9 +314,7 @@ def prime_product_moduli(
     )
 
 
-def extend_witness(
-    system: ResidueSystem, B: int, s: int, guard: int = DEFAULT_CELL_GUARD
-) -> int:
+def extend_witness(system: ResidueSystem, B: int, s: int) -> int:
     """A verified uncovered integer for C, found via its smooth part.
 
     With all moduli in (1, B] and multiplicities at most s, split off
@@ -375,10 +343,10 @@ def extend_witness(
                 rough_primes.setdefault(p, []).append(c.residue % p)
 
     c0 = ResidueSystem(tuple(smooth_cls))
-    a = uncovered_witness(c0, guard)
+    a = uncovered_witness(c0)
     if a is None:
         raise SmoothCoverError("smooth part covers all integers")
-    L = lcm_guarded((c.modulus for c in smooth_cls), guard)
+    L = lcm_guarded(c.modulus for c in smooth_cls)
 
     congruences = [(L, a)]
     for p in sorted(rough_primes):

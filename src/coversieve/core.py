@@ -255,8 +255,8 @@ def smooth_split(n: int, Q: float) -> tuple[int, int]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if Q < 1:
-        raise ValueError("Q must be >= 1")
+    if not 1 <= Q < math.inf:  # NaN fails every comparison
+        raise ValueError("Q must be a finite number >= 1")
     smooth = 1
     rough = 1
     for p, e in factorize(n).pairs:

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from .bounds import BoundCertificate, alpha, beta
 from .core import ResidueSystem, factorize, lcm_guarded, smooth_split
-from .density import DEFAULT_CELL_GUARD, _ball_groups, exact_density
+from .density import _ball_groups, exact_density
 
 DEFAULT_M_GUARD = 10**7
 # the averaged-alpha floor is a float power, so it is met up to this slack
@@ -99,8 +99,8 @@ def decompose(
     n, contributing its rough cofactor.  Subsystem moduli are always
     coprime to M, which is verified structurally.
     """
-    if Q < 2:
-        raise ValueError("Q must be >= 2")
+    if not 2 <= Q < inf:  # NaN fails every comparison
+        raise ValueError("Q must be a finite number >= 2")
     splits = tuple(smooth_split(c.modulus, Q) for c in system.classes)
     M = lcm_guarded((s for s, _ in splits), guard_m)
 
@@ -135,7 +135,7 @@ def decompose(
 
 @dataclass(frozen=True)
 class IdentityReport:
-    # delta(C) by exact_density: a direct scan within density_guard, past it
+    # delta(C) by exact_density: a direct scan within its default guard, past it
     # the split engine, whose ball grouping this decomposition shares; the
     # independent checks are the test oracles naive_membership and
     # naive_density
@@ -149,15 +149,14 @@ def decomposition_identity(
     system: ResidueSystem,
     Q: float,
     guard_m: int = DEFAULT_M_GUARD,
-    density_guard: int = DEFAULT_CELL_GUARD,
 ) -> IdentityReport:
     """Check delta(C) = (1/M) sum_h delta(C_h) exactly (both sides computed)."""
     dec = decompose(system, Q, guard_m)
     rhs = sum(
-        (g.count * exact_density(g.subsystem, density_guard).value for g in dec.groups),
+        (g.count * exact_density(g.subsystem).value for g in dec.groups),
         Fraction(0),
     ) / dec.M
-    lhs = exact_density(system, density_guard).value
+    lhs = exact_density(system).value
     return IdentityReport(lhs, rhs, lhs == rhs, dec.M)
 
 
@@ -179,7 +178,6 @@ def averaged_alpha_floor(
     system: ResidueSystem,
     Q: float,
     guard_m: int = DEFAULT_M_GUARD,
-    density_guard: int = DEFAULT_CELL_GUARD,
 ) -> AveragedAlpha:
     """Average of alpha over subsystems against its proved floor.
 
@@ -189,7 +187,7 @@ def averaged_alpha_floor(
     floating point and compared with slack ALPHA_FLOOR_SLACK.
     """
     dec = decompose(system, Q, guard_m)
-    d_smooth = exact_density(dec.smooth_subsystem, density_guard).value
+    d_smooth = exact_density(dec.smooth_subsystem).value
     if d_smooth == 0:
         raise SmoothCoverError("Q-smooth classes cover all integers")
     avg = sum(

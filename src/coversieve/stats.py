@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import alpha
 from .core import GuardExceeded, ModuliSet, ResidueSystem
-from .density import DEFAULT_CELL_GUARD, _class_mask_table, exact_density
+from .density import DEFAULT_CELL_GUARD, _class_masks, _walk_levels, exact_density
 
 DEFAULT_W_GUARD = 10**6
 
@@ -57,11 +57,8 @@ def enumerate_moments(
     if W > guard_w:
         raise GuardExceeded(f"W(T) = {W} exceeds guard {guard_w}", estimate=W)
     mods = sorted(T.moduli, reverse=True)
-    # the walk reads only residue 0 of the largest modulus, unless it repeats
-    base_only = {mods[0]} if mods[1:2] != mods[:1] else set()
-    L, masks = _class_mask_table(mods, density_guard, base_only)
-    full = (1 << L) - 1
-    choices = [masks[n][:1] if i == 0 else masks[n] for i, n in enumerate(mods)]
+    L, masks = _class_masks(mods, density_guard)
+    levels = _walk_levels(mods, masks)
     weight = mods[0] if mods else 1
 
     total = 0
@@ -74,10 +71,10 @@ def enumerate_moments(
             total += c
             total_sq += c * c
             return
-        for mask in choices[idx]:
+        for mask in levels[idx]:
             walk(idx + 1, uncovered & ~mask)
 
-    walk(0, full)
+    walk(0, (1 << L) - 1)
     mean = Fraction(weight * total, W * L)
     second = Fraction(weight * total_sq, W * L * L)
     variance = second - mean * mean
@@ -148,8 +145,7 @@ def sample_moments(
     mods = list(T.moduli)
     use_masks = True
     try:
-        # one mask per modulus: class r of n is its mask 0 shifted up by r
-        L, masks = _class_mask_table(mods, min(density_guard, 2 * 10**5), set(mods))
+        L, masks = _class_masks(mods, min(density_guard, 2 * 10**5))
     except GuardExceeded:
         use_masks = False
 
@@ -161,7 +157,7 @@ def sample_moments(
         if use_masks:
             covered = 0
             for n, r in zip(mods, residues):
-                covered |= masks[n][0] << r
+                covered |= masks[n] << r
             d = Fraction(L - covered.bit_count(), L)
         else:
             d = exact_density(

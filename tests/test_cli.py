@@ -124,6 +124,17 @@ class TestCertifyAndDecompose:
         assert report["result"]["identity"]["equal"] is True
 
 
+    @pytest.mark.parametrize("command, Q", [
+        ("certify", "nan"), ("certify", "inf"), ("certify", "-inf"),
+        ("decompose", "nan"), ("decompose", "inf"), ("decompose", "-inf"),
+    ])
+    def test_non_finite_q_is_input_error(self, capsys, tmp_path, command, Q):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"classes": [[2, 0], [3, 1], [6, 5]]}))
+        assert run([command, "--input", str(path), f"--Q={Q}"]) == 1
+        assert capsys.readouterr().out == ""
+
+
 class TestModuliCommands:
     def test_delta_minus(self, capsys):
         report = invoke_json(capsys, "delta-minus", "--moduli", "2,3,4,6,12")
@@ -190,6 +201,14 @@ class TestConstructCommands:
         report = json.loads(out1)
         assert report["seed"] == 7
         assert report["result"]["step_invariant"] is True
+
+    def test_greedy_window_guard(self, capsys):
+        code, out = invoke(capsys, "greedy", "--N", "4", "--K", "50",
+                           "--window", str(10**9 + 1))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "guard-exceeded"
+        assert error["estimate"] == 10**9 + 1
 
     def test_haight(self, capsys):
         report = invoke_json(capsys, "haight", "--N", "100")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import coversieve as cs
-from coversieve import construct
+from coversieve import construct, density
 from coversieve.core import SEGMENT_SIZE, GuardExceeded
 from coversieve.construct import GreedyStep, GreedyTrace
 from coversieve.decompose import SmoothCoverError
@@ -60,6 +60,15 @@ class TestGreedyCover:
         with pytest.raises(ValueError):
             cs.greedy_cover(4, 50, seed=0, window=100)
 
+    def test_window_guard_refuses_before_painting(self, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("window painted before the guard refused")
+
+        monkeypatch.setattr(construct, "_uncovered_blocks", no_blocks)
+        with pytest.raises(GuardExceeded, match="greedy window") as refusal:
+            cs.greedy_cover(4, 50, seed=0, window=density.DEFAULT_CELL_GUARD + 1)
+        assert refusal.value.estimate == density.DEFAULT_CELL_GUARD + 1
+
     def test_final_fraction_exact(self):
         trace = cs.greedy_cover(2, 4, seed=3, window=1000)
         assert trace.final_uncovered_fraction == Fraction(trace.final_uncovered_count, 1000)
@@ -72,6 +81,7 @@ class TestGreedyAgainstOracle:
 
     @pytest.mark.parametrize("N, K, seed, window", [
         (3, 5, 0, 15),  # window == K*N
+        (1, 6, 1, 6),  # empty by j = 6, whose residue 0 is inadmissible: it takes 1
         (4, 20, 1, 80),
         (2, 6, 2, 5000),  # below one block
         (4, 20, 3, 777_777),
@@ -86,7 +96,7 @@ class TestGreedyAgainstOracle:
 
     @pytest.mark.parametrize("width", [1, 7, 64])
     def test_block_widths(self, monkeypatch, width):
-        monkeypatch.setattr(construct, "SEGMENT_SIZE", width)
+        monkeypatch.setattr(density, "SEGMENT_SIZE", width)
         for N, K, seed, window in [(2, 3, 5, 9), (2, 4, 8, 8), (3, 5, 1, 64), (3, 6, 2, 127),
                                    (4, 8, 3, 449), (5, 10, 4, 1000)]:
             assert cs.greedy_cover(N, K, seed, window) == naive_greedy(N, K, seed, window)

@@ -149,6 +149,11 @@ class TestSmoothSplit:
         assert cs.smooth_split(7, 10) == (7, 1)
         assert cs.smooth_split(1, 2) == (1, 1)
 
+    @pytest.mark.parametrize("Q", [math.nan, math.inf, -math.inf, 0.5])
+    def test_rejects_non_finite_or_small_q(self, Q):
+        with pytest.raises(ValueError):
+            cs.smooth_split(12, Q)
+
     def test_split_properties(self):
         rnd = random.Random(2)
         for _ in range(400):

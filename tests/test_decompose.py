@@ -94,6 +94,11 @@ class TestDecompose:
         with pytest.raises(ValueError):
             cs.decompose(WORKED, 1.5)
 
+    @pytest.mark.parametrize("Q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_q_rejected(self, Q):
+        with pytest.raises(ValueError, match="finite"):
+            cs.decompose(WORKED, Q)
+
 
 def _oracle_cases():
     rnd = random.Random(43)

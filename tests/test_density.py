@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -469,10 +470,10 @@ class TestDeltaMinus:
             cs.delta_minus(cs.ModuliSet.from_iterable([210, 11]), "greedy", guard=100)
 
     def test_choice_guard_refuses_before_masks(self, monkeypatch):
-        def no_table(*args):
-            raise AssertionError("mask table built before the guard refused")
+        def no_masks(*args):
+            raise AssertionError("masks built before the guard refused")
 
-        monkeypatch.setattr(density, "_class_mask_table", no_table)
+        monkeypatch.setattr(density, "_class_masks", no_masks)
         with pytest.raises(GuardExceeded, match="residue-choice space"):
             cs.delta_minus(cs.ModuliSet.from_iterable(range(2, 17)))
         with pytest.raises(GuardExceeded, match="scan period"):
@@ -483,34 +484,31 @@ class TestDeltaMinus:
         ([4, 9, 6, 9], 9),  # 9 repeats: its second copy walks every residue
     ])
     def test_exhaustive_builds_one_mask_of_unique_largest(self, monkeypatch, mods, masks_of_largest):
-        tables = []
-        build = density._class_mask_table
+        walks = []
+        build = density._walk_levels
 
-        def spy(*args):
-            tables.append(build(*args))
-            return tables[-1]
+        def spy(order, masks):
+            walks.append((order, build(order, masks)))
+            return walks[-1][1]
 
-        monkeypatch.setattr(density, "_class_mask_table", spy)
+        monkeypatch.setattr(density, "_walk_levels", spy)
         result = cs.delta_minus(cs.ModuliSet.from_iterable(mods))
-        assert len(tables[0][1][9]) == masks_of_largest
+        order, levels = walks[0]
+        held = {mask for n, level in zip(order, levels) if n == 9 for mask in level}
+        assert len(held) == masks_of_largest
         assert result.value == min(
             naive_density(cs.ResidueSystem.from_pairs(zip(mods, rs)))
             for rs in itertools.product(*(range(n) for n in mods))
         )
 
-    def test_greedy_builds_one_mask_per_modulus(self, monkeypatch):
-        tables = []
-        build = density._class_mask_table
+    def test_greedy_builds_no_mask(self, monkeypatch):
+        def no_masks(*args):
+            raise AssertionError("greedy peel built a class mask")
 
-        def spy(*args):
-            tables.append(build(*args))
-            return tables[-1]
-
-        monkeypatch.setattr(density, "_class_mask_table", spy)
+        monkeypatch.setattr(density, "_class_masks", no_masks)
+        monkeypatch.setattr(density, "_walk_levels", no_masks)
         S = cs.ModuliSet.from_iterable([1, 4, 6, 9, 6, 12])
-        result = cs.delta_minus(S, "greedy")
-        assert {n: len(m) for n, m in tables[0][1].items()} == {1: 1, 4: 1, 6: 1, 9: 1, 12: 1}
-        assert result == naive_greedy_peel(S)
+        assert cs.delta_minus(S, "greedy") == naive_greedy_peel(S)
 
     def test_greedy_matches_all_masks_peel(self):
         # seeded sets, each with a repeated modulus, every third one with modulus 1
@@ -523,6 +521,42 @@ class TestDeltaMinus:
                 mods.append(1)
             S = cs.ModuliSet.from_iterable(mods)
             assert cs.delta_minus(S, "greedy") == naive_greedy_peel(S), mods
+
+    @pytest.mark.parametrize("size", [7, 64])
+    def test_greedy_blocks_span_segments(self, monkeypatch, size):
+        # periods up to 360 cells, so the position blocks span many segments
+        monkeypatch.setattr(density, "SEGMENT_SIZE", size)
+        rnd = random.Random(23)
+        pool = [2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 20, 24, 30, 36, 40]
+        for i in range(30):
+            mods = [rnd.choice(pool) for _ in range(rnd.randint(1, 6))]
+            if i % 3 == 0:
+                mods.append(1)
+            S = cs.ModuliSet.from_iterable(mods)
+            assert cs.delta_minus(S, "greedy") == naive_greedy_peel(S), mods
+
+
+class TestClassMasks:
+    @pytest.mark.parametrize("L", [1, 360, 27720, 999000])
+    def test_bits_are_the_multiples(self, L):
+        # bit x of the mask of n is set iff x = 0 (mod n), for x in [0, L)
+        for n in sorted({n for n in (1, 2, 3, L // 2, L) if n and L % n == 0}):
+            period, masks = density._class_masks([n, L], L)
+            assert period == L and set(masks) == {n, L}
+            mask = masks[n]
+            assert mask >> L == 0
+            raw = np.frombuffer(mask.to_bytes((L + 7) // 8, "little"), np.uint8)
+            bits = np.unpackbits(raw, bitorder="little")[:L].astype(bool)
+            assert np.array_equal(bits, np.arange(L) % n == 0), (L, n)
+
+    def test_walk_levels_share_one_list_per_modulus(self):
+        order = [9, 9, 6, 6, 4]
+        _, masks = density._class_masks(order, 36)
+        levels = density._walk_levels(order, masks)
+        assert [len(level) for level in levels] == [1, 9, 6, 6, 4]
+        assert levels[0] == [masks[9]] and levels[2] is levels[3]
+        assert levels[4] == [masks[4] << r for r in range(4)]
+        assert density._walk_levels([], {}) == []
 
 
 class TestUncoveredWitness:
