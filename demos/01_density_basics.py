@@ -18,7 +18,7 @@ print(f"  covers the integers: delta = {rep.value} over period {rep.period}")
 trimmed = cs.ResidueSystem(opening.classes[:-1])
 rep = cs.exact_density(trimmed)
 print(f"\nDrop the last class {opening.classes[-1]}:")
-print(f"  delta = {rep.value}, first uncovered integer = {cs.uncovered_witness(trimmed)}")
+print(f"  delta = {rep.value}, first uncovered integer = {rep.witness}")
 
 print("\nReciprocal sum and disjointness decide exact covering with no scan:")
 for pairs in ([(2, 0), (2, 1)], [(2, 0), (4, 1), (4, 3)], [(2, 0), (3, 0), (6, 5)]):

@@ -32,9 +32,10 @@ print("\nNow a system nobody can scan: every modulus in (100, 200], random resid
 rnd = random.Random(1)
 big = cs.ResidueSystem.from_pairs((n, rnd.randrange(n)) for n in range(101, 201))
 try:
-    # the least uncovered integer needs the one-period scan; exact_density
-    # would reach delta itself past the scan guard through CRT splits
-    cs.uncovered_witness(big)
+    # a one-period scan, the only source of the least uncovered integer,
+    # stops at 10^9 cells; exact_density would still reach delta itself
+    # past that guard through CRT splits, but with no witness
+    cs.lcm_guarded((c.modulus for c in big), 10**9)
 except cs.GuardExceeded as exc:
     print(f"  direct scan refused: {exc.detail}")
 for Q in (2, 3, 5):

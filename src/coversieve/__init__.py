@@ -63,7 +63,6 @@ from .density import (
     delta_plus,
     exact_density,
     is_exact_cover,
-    uncovered_witness,
 )
 from .stats import (
     MomentReport,

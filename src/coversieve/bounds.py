@@ -174,8 +174,8 @@ def smooth_tail_sum(N: int, Q: float) -> SmoothTail:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if Q < 2:
-        raise ValueError("Q must be >= 2 for the smooth sum to converge")
+    if not 2 <= Q < math.inf:  # NaN fails every comparison
+        raise ValueError("Q must be a finite number >= 2 for the smooth sum to converge")
     finite = sum((Fraction(1, n) for n in smooth_numbers(N, Q)), Fraction(0))
     value = euler_product(Q) - finite
     u = math.log(N) / math.log(Q)

@@ -46,7 +46,6 @@ from .density import (
     delta_plus,
     exact_density,
     is_exact_cover,
-    uncovered_witness,
 )
 from .stats import enumerate_moments, pair_formula_moments, sample_moments
 
@@ -289,7 +288,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--guard", type=int, default=None,
-                    help="max W(T) (enumerate), 2^|T| subsets (pair) or scan period (sample)")
+                    help="max W(T) (enumerate), 2^|T| subsets (pair), or in sample mode the "
+                         "mask period (capped at 2*10^5) and then the split engine's work")
 
     sp = add("verify-exact-cover", "check partition of the integers without scanning",
              epilog="CSV columns: exact, reciprocal_sum, reason")
@@ -309,15 +309,12 @@ def _dispatch(args) -> dict:
     if cmd == "density":
         system = load_system(args.input, text)
         rep = exact_density(system, args.guard)
-        # the least uncovered integer needs a scan of the period
-        scanned = rep.method == "lcm-scan" and rep.value > 0
-        wit = uncovered_witness(system, args.guard) if scanned else None
         return {
             "inputs": {"input": args.input, "guard": args.guard},
             "result": {
                 "delta": rep.value, "period": rep.period,
                 "uncovered_count": rep.uncovered_count, "method": rep.method,
-                "witness": wit,
+                "witness": rep.witness,
             },
         }
 

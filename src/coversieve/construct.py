@@ -26,7 +26,7 @@ from .core import (
     _prime_segments,
 )
 from .decompose import SmoothCoverError
-from .density import DEFAULT_CELL_GUARD, _peel, _uncovered_blocks, uncovered_witness
+from .density import DEFAULT_CELL_GUARD, _peel, _scan, _uncovered_blocks
 
 
 @dataclass(frozen=True)
@@ -323,7 +323,8 @@ def extend_witness(system: ResidueSystem, B: int, s: int) -> int:
     sqrt(s*B) divides at most p - 1 of the moduli, so some b(p) avoids all
     their residues mod p; the CRT solution through a and the b(p) avoids
     every class of C.  The returned integer is re-verified against C
-    before being returned.
+    before being returned.  a is the least uncovered cell of one sieve of
+    lcm(S(C_0)), refused past DEFAULT_CELL_GUARD cells.
     """
     for c in system.classes:
         if not (1 < c.modulus <= B):
@@ -332,21 +333,20 @@ def extend_witness(system: ResidueSystem, B: int, s: int) -> int:
         raise ValueError(f"multiplicity exceeds {s}")
 
     cut = math.sqrt(s * B)
-    smooth_cls = []
+    smooth_pairs = []
     rough_primes: dict[int, list[int]] = {}
     for c in system.classes:
         fac = factorize(c.modulus)
         if fac.largest_prime() <= cut:
-            smooth_cls.append(c)
+            smooth_pairs.append((c.modulus, c.residue))
         for p, _ in fac.pairs:
             if p > cut:
                 rough_primes.setdefault(p, []).append(c.residue % p)
 
-    c0 = ResidueSystem(tuple(smooth_cls))
-    a = uncovered_witness(c0)
+    L = lcm_guarded((n for n, _ in smooth_pairs), DEFAULT_CELL_GUARD)
+    _, a = _scan(smooth_pairs, L)
     if a is None:
         raise SmoothCoverError("smooth part covers all integers")
-    L = lcm_guarded(c.modulus for c in smooth_cls)
 
     congruences = [(L, a)]
     for p in sorted(rough_primes):

@@ -225,25 +225,20 @@ def factorize(n: int) -> Factorization:
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     out: dict[int, int] = {}
-
-    def add(m: int):
-        if m == 1:
-            return
+    stack = [n]  # cofactors still to split; no recursive closure, no cycle
+    while stack:
+        m = stack.pop()
         if m <= _SPF_LIMIT:
             spf = _spf()
             while m > 1:
                 p = int(spf[m])
                 out[p] = out.get(p, 0) + 1
                 m //= p
-            return
-        if is_prime(m):
+        elif is_prime(m):
             out[m] = out.get(m, 0) + 1
-            return
-        d = _pollard_rho(m)
-        add(d)
-        add(m // d)
-
-    add(n)
+        else:
+            d = _pollard_rho(m)
+            stack += (d, m // d)
     return Factorization(tuple(sorted(out.items())))
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, inf
 
 from .bounds import BoundCertificate, alpha, beta
-from .core import ResidueSystem, factorize, lcm_guarded, smooth_split
+from .core import ResidueClass, ResidueSystem, factorize, lcm_guarded, smooth_split
 from .density import _ball_groups, exact_density
 
 DEFAULT_M_GUARD = 10**7
@@ -107,19 +107,24 @@ def decompose(
     residues = [c.residue for c in system.classes]
     found = _membership_groups(splits, residues, M)
 
+    # one rough class per distinct (rough, r), shared by every subsystem
+    rough_pairs = []
+    shared: dict[tuple[int, int], ResidueClass] = {}
+    for (_, rough), r in zip(splits, residues):
+        if gcd(rough, M) != 1:
+            raise RuntimeError("rough cofactor not coprime to M")
+        pair = (rough, r % rough)
+        rough_pairs.append(pair)
+        shared.setdefault(pair, ResidueClass(*pair))
+
     groups = []
     landings = 0
     for bits, (cnt, rep) in sorted(found.items(), key=lambda kv: kv[1][1]):
         indices = tuple(i for i in range(len(splits)) if bits >> i & 1)
         landings += cnt * len(indices)
-        pairs = set()
-        for i in indices:
-            rough = splits[i][1]
-            if gcd(rough, M) != 1:
-                raise RuntimeError("rough cofactor not coprime to M")
-            pairs.add((rough, residues[i] % rough))
+        pairs = sorted({rough_pairs[i] for i in indices})
         groups.append(
-            SubsystemGroup(cnt, rep, indices, ResidueSystem.from_pairs(sorted(pairs)))
+            SubsystemGroup(cnt, rep, indices, ResidueSystem(tuple(map(shared.get, pairs))))
         )
 
     # each class admits h exactly M / smooth-part times across [0, M)

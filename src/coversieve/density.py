@@ -4,8 +4,8 @@ The workhorse is a segmented one-byte-per-residue sieve over one full period
 ``[0, lcm)``: covering marks are strided writes, so each class is painted
 with a single slice assignment per segment.  The uncovered count is the
 period minus the covered bytes, which ``np.count_nonzero`` counts per
-segment at memory speed; the least uncovered integer is found with
-``bytearray.find``, a memchr.  Past the scan guard, the CRT split
+segment at memory speed; the same pass finds the least uncovered integer
+with ``bytearray.find``, a memchr.  Past the scan guard, the CRT split
 delta(C) = (1/q) sum_x delta(C_x) over a prime power q of the period
 reduces a system to subsystems small enough to sieve.  Everything returned
 is an exact ``Fraction``.
@@ -40,13 +40,17 @@ class DensityReport:
     """An exactly computed uncovered density with its provenance.
 
     ``value == uncovered_count / period`` always holds, with ``period`` the
-    modulus over which the density was established.
+    modulus over which the density was established.  ``witness`` is the
+    least uncovered nonnegative integer, read off the same scan that counts
+    them; it is None when delta = 0 and on the 'planner' path, which never
+    sieves the period.
     """
 
     value: Fraction
     period: int
     method: str  # 'lcm-scan' | 'planner'
     uncovered_count: int
+    witness: int | None = None
 
 
 def _covered_segments(pairs, L: int):
@@ -67,12 +71,17 @@ def _covered_segments(pairs, L: int):
         yield lo, cov
 
 
-def _scan_uncovered(pairs, L: int) -> int:
-    """Cells of [0, L) left uncovered by the classes (n, r) in pairs."""
-    return L - sum(
-        int(np.count_nonzero(np.frombuffer(cov, np.uint8)))
-        for _, cov in _covered_segments(pairs, L)
-    )
+def _scan(pairs, L: int) -> tuple[int, int | None]:
+    """Cells of [0, L) left uncovered by the classes (n, r) in pairs, and
+    the least of them (None when every cell is covered), in one pass."""
+    uncovered, least = L, None
+    for lo, cov in _covered_segments(pairs, L):
+        uncovered -= int(np.count_nonzero(np.frombuffer(cov, np.uint8)))
+        if least is None:
+            at = cov.find(0)
+            if at >= 0:
+                least = lo + at
+    return uncovered, least
 
 
 def _ball_groups(pinned, q: int, p: int) -> list[tuple[int, list, int]]:
@@ -122,6 +131,7 @@ def _ball_groups(pinned, q: int, p: int) -> list[tuple[int, list, int]]:
         cells = q // g - sum(q // h for h, _ in inside)
         if cells:
             groups.append((cells, items[g, s], least(g, s, inside) if inside else s))
+    del least  # it refers to itself: free the cycle now, not at the next gc
     groups.sort(key=lambda group: group[2])
     return groups
 
@@ -194,7 +204,7 @@ def _split_density(pairs, budget: int) -> Fraction:
                     part = Fraction(period - 1, period)
                 elif period <= SCAN_LEAF:
                     spend(period)
-                    part = Fraction(_scan_uncovered(key, period), period)
+                    part = Fraction(_scan(key, period)[0], period)
                 else:
                     # split on the prime dividing the most moduli, which
                     # cuts the most edges of the component; ties go to the
@@ -221,16 +231,19 @@ def _split_density(pairs, budget: int) -> Fraction:
                 break
         return value
 
-    return solve(pairs)
+    try:
+        return solve(pairs)
+    finally:
+        del solve  # it refers to itself: free the cycle and its memo on return
 
 
 def exact_density(system: ResidueSystem, guard: int = DEFAULT_CELL_GUARD) -> DensityReport:
     """Exact delta of a residue system.
 
     A period lcm of at most ``guard`` cells is sieved in one pass (method
-    'lcm-scan').  Past it, ``_split_density`` computes delta with ``guard``
-    as its work budget (method 'planner'), and the report still gives the
-    lcm as its period.  When that budget runs out too, the period guard's
+    'lcm-scan'), which also finds the witness.  Past it, ``_split_density``
+    computes delta with ``guard`` as its work budget (method 'planner'), and
+    the report still gives the lcm as its period.  When that budget runs out too, the period guard's
     GuardExceeded is raised; callers should then fall back to lower-bound
     certificates.
     """
@@ -247,19 +260,8 @@ def exact_density(system: ResidueSystem, guard: int = DEFAULT_CELL_GUARD) -> Den
         if count.denominator != 1:
             raise ArithmeticError(f"uncovered count {count} over period {L} is not an integer")
         return DensityReport(value, L, "planner", int(count))
-    uncovered = _scan_uncovered(pairs, L)
-    return DensityReport(Fraction(uncovered, L), L, "lcm-scan", uncovered)
-
-
-def uncovered_witness(system: ResidueSystem, guard: int = DEFAULT_CELL_GUARD) -> int | None:
-    """Smallest nonnegative uncovered integer, or None when delta = 0."""
-    pairs = system.pairs()
-    L = lcm_guarded((n for n, _ in pairs), guard)
-    for lo, cov in _covered_segments(pairs, L):
-        at = cov.find(0)
-        if at >= 0:
-            return lo + at
-    return None
+    uncovered, least = _scan(pairs, L)
+    return DensityReport(Fraction(uncovered, L), L, "lcm-scan", uncovered, least)
 
 
 @dataclass(frozen=True)
@@ -477,6 +479,7 @@ def delta_minus(
             choice.pop()
 
     search(0, (1 << L) - 1, [])
+    del search  # it refers to itself: free the cycle and its masks on return
     witness = ResidueSystem.from_pairs(zip(order, best_choice))
     return DeltaMinusResult(Fraction(best_count, L), witness, True, rsum)
 

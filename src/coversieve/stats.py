@@ -18,8 +18,8 @@ from math import lcm, prod
 import numpy as np
 
 from .bounds import alpha
-from .core import GuardExceeded, ModuliSet, ResidueSystem
-from .density import DEFAULT_CELL_GUARD, _class_masks, _walk_levels, exact_density
+from .core import GuardExceeded, ModuliSet
+from .density import DEFAULT_CELL_GUARD, _class_masks, _split_density, _walk_levels
 
 DEFAULT_W_GUARD = 10**6
 
@@ -75,6 +75,7 @@ def enumerate_moments(
             walk(idx + 1, uncovered & ~mask)
 
     walk(0, (1 << L) - 1)
+    del walk  # it refers to itself: free the cycle and its masks on return
     mean = Fraction(weight * total, W * L)
     second = Fraction(weight * total_sq, W * L * L)
     variance = second - mean * mean
@@ -121,6 +122,7 @@ def pair_formula_moments(
         walk(idx + 1, m_prod * (n - 2), lcm(l_val, n))
 
     walk(0, 1, 1)
+    del walk  # it refers to itself: free the cycle on return
     prefactor = prod((Fraction(n - 2, n) for n in mods), start=Fraction(1))
     second = prefactor * Fraction(subtotal, m_all * l_all)
     mean = alpha(T)  # the mean over all residue choices is exactly prod(1 - 1/n)
@@ -137,8 +139,11 @@ def sample_moments(
     """Seeded Monte Carlo estimate of the moments, with exact per-sample deltas.
 
     Trial t derives its generator from (seed, t), so any execution order
-    (or a parallel run) produces bit-identical results.  Running sums stay
-    rational; only the final standard error is floating.
+    (or a parallel run) produces bit-identical results.  A trial ORs shifted
+    class masks while lcm(T) fits min(``density_guard``, 2*10^5) bits, and
+    past that is solved by the split engine with ``density_guard`` as its
+    work budget.  Running sums stay rational; only the final standard error
+    is floating.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -160,9 +165,7 @@ def sample_moments(
                 covered |= masks[n] << r
             d = Fraction(L - covered.bit_count(), L)
         else:
-            d = exact_density(
-                ResidueSystem.from_pairs(zip(mods, residues)), density_guard
-            ).value
+            d = _split_density(list(zip(mods, residues)), density_guard)
         total += d
         total_sq += d * d
 
@@ -193,11 +196,7 @@ class VarianceScanReport:
     max_ratio: float
 
 
-def variance_bound_scan(
-    family: list[ModuliSet],
-    guard_w: int = DEFAULT_W_GUARD,
-    guard_subsets: int = 1 << 22,
-) -> VarianceScanReport:
+def variance_bound_scan(family: list[ModuliSet]) -> VarianceScanReport:
     """Tabulate variance against alpha^2 log N / N^2 across a family of T.
 
     The ratio column is diagnostic (the proportionality constant is not
@@ -209,9 +208,9 @@ def variance_bound_scan(
     max_ratio = 0.0
     for T in family:
         try:
-            rep = pair_formula_moments(T, guard_subsets)
+            rep = pair_formula_moments(T)
         except ValueError:
-            rep = enumerate_moments(T, guard_w)
+            rep = enumerate_moments(T)
         shape = _bound_shape(T)
         ratio = float(rep.variance) / shape if shape > 0 else 0.0
         if not math.isfinite(ratio):

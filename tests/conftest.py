@@ -66,7 +66,7 @@ def enumerate_residue_choices(S: cs.ModuliSet):
 
 def naive_witness(system: cs.ResidueSystem) -> int | None:
     """Least uncovered integer by a per-integer scan; the reference for
-    uncovered_witness.  None when the period is covered."""
+    the witness of exact_density.  None when the period is covered."""
     L = lcm(*(c.modulus for c in system.classes))
     return next(
         (x for x in range(L)

@@ -242,6 +242,11 @@ class TestSmoothTailSum:
         with pytest.raises(ValueError):
             cs.smooth_tail_sum(10, 1.5)
 
+    @pytest.mark.parametrize("Q", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_q(self, Q):
+        with pytest.raises(ValueError, match="finite"):
+            cs.smooth_tail_sum(10, Q)
+
 
 class TestLThreshold:
     def test_million(self):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coversieve import density
 from coversieve.cli import _dumps, load_system, run
 
 from conftest import indented_json
@@ -49,6 +50,25 @@ class TestDensityCommand:
         report = invoke_json(capsys, "density", "--input", str(path))
         assert report["result"]["delta"] == "1/6"
         assert report["result"]["witness"] == 7
+
+    def test_paints_each_segment_once(self, capsys, monkeypatch, tmp_path):
+        # the count and the least uncovered integer, 31, come from one pass
+        # over the period 32 in segments of 7 cells
+        monkeypatch.setattr(density, "SEGMENT_SIZE", 7)
+        painted = []
+        segments = density._covered_segments
+
+        def spy(pairs, L):
+            for lo, cov in segments(pairs, L):
+                painted.append(lo)
+                yield lo, cov
+
+        monkeypatch.setattr(density, "_covered_segments", spy)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"classes": [[2, 0], [4, 1], [8, 3], [16, 7], [32, 15]]}))
+        result = invoke_json(capsys, "density", "--input", str(path))["result"]
+        assert (result["delta"], result["witness"]) == ("1/32", 31)
+        assert painted == [0, 7, 14, 21, 28]
 
     def test_planner_route(self, capsys, tmp_path):
         # (40,80]: a period of 115 bits, past any scan

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import random
 from fractions import Fraction
@@ -231,16 +232,44 @@ GUARD_LCM = 180
 
 @pytest.mark.parametrize("call", [
     lambda g: cs.exact_density(cs.ResidueSystem.from_pairs(GUARD_PAIRS), g),
-    lambda g: cs.uncovered_witness(cs.ResidueSystem.from_pairs(GUARD_PAIRS), g),
     lambda g: cs.delta_minus(cs.ModuliSet.from_iterable(n for n, _ in GUARD_PAIRS), "greedy", g),
     lambda g: cs.enumerate_moments(cs.ModuliSet.from_iterable(n for n, _ in GUARD_PAIRS), density_guard=g),
     lambda g: cs.decompose(cs.ResidueSystem.from_pairs(GUARD_PAIRS), 5, g),
-], ids=["exact_density", "uncovered_witness", "delta_minus", "enumerate_moments", "decompose"])
+], ids=["exact_density", "delta_minus", "enumerate_moments", "decompose"])
 def test_guard_bounds_the_lcm_value(call):
     call(GUARD_LCM)
     with pytest.raises(GuardExceeded) as info:
         call(GUARD_LCM - 1)
     assert info.value.estimate == GUARD_LCM
+
+
+def _system(lo: int, hi: int, seed: int) -> cs.ResidueSystem:
+    rnd = random.Random(seed)
+    return cs.ResidueSystem.from_pairs((n, rnd.randrange(n)) for n in range(lo, hi))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cs.delta_minus(cs.ModuliSet.from_iterable([2, 3, 4, 6, 12])),
+    lambda: cs.enumerate_moments(cs.ModuliSet.from_iterable([2, 3, 4, 5])),
+    lambda: cs.pair_formula_moments(cs.ModuliSet.from_iterable([3, 4, 5, 7])),
+    lambda: cs.delta_plus(cs.ModuliSet.from_iterable(range(41, 81))),
+    lambda: cs.exact_density(_system(41, 81, 0)),
+    lambda: cs.decompose(_system(101, 141, 1), 3),
+    lambda: cs.sample_moments(cs.ModuliSet.from_iterable(range(11, 21)), 3),
+    lambda: cs.factorize(1000003 * 1000033),
+], ids=["delta_minus", "enumerate_moments", "pair_formula_moments", "delta_plus",
+        "exact_density_planner", "decompose", "sample_moments_engine", "factorize_rho"])
+def test_calls_leave_no_reference_cycles(call):
+    # a recursive closure refers to itself; left as a cycle, it would keep
+    # its masks or memo alive until the next collection
+    call()  # build lazy tables first
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestCrt:

@@ -85,6 +85,18 @@ class TestDecompose:
         group = {g.representative: g for g in dec.groups}[0]
         assert len(group.class_indices) == 2 and len(group.subsystem) == 1
 
+    def test_subsystems_share_one_rough_class_per_pair(self):
+        rnd = random.Random(5)
+        system = cs.ResidueSystem.from_pairs((n, rnd.randrange(n)) for n in range(101, 141))
+        objects: dict[tuple[int, int], set[int]] = {}
+        groups = cs.decompose(system, 3).groups
+        for g in groups:
+            pairs = g.subsystem.pairs()
+            assert pairs == sorted(set(pairs))
+            for c in g.subsystem.classes:
+                objects.setdefault((c.modulus, c.residue), set()).add(id(c))
+        assert len(groups) > 1 and all(len(ids) == 1 for ids in objects.values())
+
     def test_guard(self):
         system = cs.ResidueSystem.from_pairs([(2**20, 1), (3**13, 2)])
         with pytest.raises(GuardExceeded):

@@ -560,18 +560,24 @@ class TestClassMasks:
 
 
 class TestUncoveredWitness:
+    """The least uncovered integer, reported by the scan that counts."""
+
     def test_examples(self):
-        assert cs.uncovered_witness(cs.ResidueSystem.from_pairs([(2, 0), (4, 1), (3, 0)])) == 7
-        assert cs.uncovered_witness(OPENING) is None
-        assert cs.uncovered_witness(cs.ResidueSystem.from_pairs([(2, 1)])) == 0
+        assert cs.exact_density(cs.ResidueSystem.from_pairs([(2, 0), (4, 1), (3, 0)])).witness == 7
+        assert cs.exact_density(OPENING).witness is None
+        assert cs.exact_density(cs.ResidueSystem.from_pairs([(2, 1)])).witness == 0
+        assert cs.exact_density(cs.ResidueSystem(())).witness == 0
 
     def test_witness_is_minimal_and_uncovered(self):
         rnd = random.Random(19)
         for _ in range(80):
             system = random_system(rnd, max_classes=5)
-            w = cs.uncovered_witness(system)
+            rep = cs.exact_density(system)
+            w = rep.witness
+            assert rep.method == "lcm-scan"
+            assert w == naive_witness(system)
             if w is None:
-                assert cs.exact_density(system).value == 0
+                assert rep.value == 0
             else:
                 assert all(x % c.modulus != c.residue for c in system.classes for x in [w])
                 for x in range(w):
@@ -599,8 +605,9 @@ class TestSegmentBoundaries:
             L = lcm(*(c.modulus for c in system.classes))
             size = {"L-1": max(L - 1, 1), "L": L, "L+1": L + 1}.get(width) or int(width)
             monkeypatch.setattr(density, "SEGMENT_SIZE", size)
-            assert cs.exact_density(system).value == naive_density(system)
-            assert cs.uncovered_witness(system) == naive_witness(system)
+            rep = cs.exact_density(system)
+            assert rep.value == naive_density(system)
+            assert rep.witness == naive_witness(system)
 
 
 class TestPairCorrectionAgainstScans:

@@ -2,12 +2,13 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 
 import coversieve as cs
-from coversieve import stats
+from coversieve import density, stats
 from coversieve.core import GuardExceeded
 
 from conftest import enumerate_residue_choices, naive_density, naive_moments
@@ -191,7 +192,8 @@ class TestSampleMoments:
         assert a == b
         # trial t is derived from (seed, t): recompute the first trials
         # directly, on the bitmask path (a repeated modulus, a modulus 1)
-        # and past the mask limit (lcm 739,024), where each trial is scanned
+        # and past the mask limit (lcm 739,024), where the split engine
+        # solves each trial
         for T in (M(2, 4, 6), M(3, 4, 4, 6), M(1, 3, 5), M(11, 13, 16, 17, 19)):
             total = total_sq = Fraction(0)
             for t in range(50):
@@ -205,6 +207,33 @@ class TestSampleMoments:
                 total_sq += d * d
             rep = cs.sample_moments(T, 50, seed=9)
             assert (rep.mean, rep.second_moment) == (total / 50, total_sq / 50)
+
+    @pytest.mark.parametrize("mods", [
+        list(range(11, 21)),  # lcm 232,792,560
+        [d for d in range(101, 720721) if 720720 % d == 0],  # 190 moduli
+    ], ids=["11..20", "divisors-of-720720"])
+    def test_past_mask_limit_matches_exact_density(self, monkeypatch, mods):
+        T = M(*mods)
+        deltas = []
+        for t in range(3):
+            rng = np.random.default_rng([0, t])
+            system = cs.ResidueSystem.from_pairs((n, int(rng.integers(0, n))) for n in T.moduli)
+            deltas.append(cs.exact_density(system).value)
+        mean = sum(deltas) / 3
+        second = sum(d * d for d in deltas) / 3
+
+        engine, scan = stats._split_density, density._scan
+        solved, scanned = [], []
+        monkeypatch.setattr(stats, "_split_density",
+                            lambda pairs, budget: solved.append(pairs) or engine(pairs, budget))
+        monkeypatch.setattr(density, "_scan",
+                            lambda pairs, L: scanned.append(L) or scan(pairs, L))
+        rep = cs.sample_moments(T, 3)
+        assert (rep.mean, rep.second_moment) == (mean, second)
+        assert len(solved) == 3
+        if lcm(*mods) > density.SCAN_LEAF:
+            # the engine splits: no trial sieves the whole period
+            assert scanned and max(scanned) < lcm(*mods)
 
     def test_builds_one_mask_per_modulus(self, monkeypatch):
         tables = []
