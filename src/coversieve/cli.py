@@ -10,6 +10,10 @@ byte-identical report, and for JSON that includes the layout: keys in
 sorted order, a two-space indent, one value per line and non-ASCII
 characters as ``\\uXXXX`` escapes, exactly as
 ``json.dumps(report, sort_keys=True, indent=2)`` lays it out.
+
+Each subcommand is declared once, in ``COMMANDS``: its help, its CSV
+columns, its input kind, its extra arguments and the handler that turns
+the parsed arguments and the loaded input into the report.
 """
 
 from __future__ import annotations
@@ -20,8 +24,10 @@ import io
 import json
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import Callable
 
 from . import __version__
 from .bounds import pair_correction_bound
@@ -63,18 +69,13 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _encode(obj):
+def _default(obj):
+    """JSON form of the report values JSON has no type for."""
     if isinstance(obj, Fraction):
         return _frac(obj)
     if isinstance(obj, ResidueSystem):
-        return {"classes": [[c.modulus, c.residue] for c in obj.classes]}
-    if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    return str(obj)
+        return {"classes": obj.pairs()}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # json.dumps(obj, sort_keys=True, indent=2) runs CPython's pure-Python
@@ -83,12 +84,12 @@ def _encode(obj):
 # same bytes but hands the arrays of numbers that make up the bulk of a
 # report (system classes, block bounds, primes) to the C encoder in
 # compact form and re-indents the result with str.replace.
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
+_COMPACT = json.JSONEncoder(separators=(",", ":"), default=_default)
 
 
 def _dumps(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for
-    objects whose dict keys are all strings."""
+    """json.dumps(obj, sort_keys=True, indent=2, default=_default), byte
+    for byte, for objects whose dict keys are all strings."""
     out: list[str] = []
     _write(obj, "\n", out)
     return "".join(out)
@@ -97,6 +98,8 @@ def _dumps(obj) -> str:
 def _write(obj, nl: str, out: list[str]) -> None:
     """Append obj laid out at the depth whose line break is nl."""
     inner = nl + "  "
+    if isinstance(obj, ResidueSystem):
+        obj = _default(obj)
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -155,7 +158,10 @@ def load_system(path: str, text: bool = False) -> ResidueSystem:
                 raise UsageError(f"cannot parse line {line!r} (expected 'r mod n')")
             pairs.append((int(m.group(2)), int(m.group(1))))
         return ResidueSystem.from_pairs(pairs)
-    doc = json.loads(raw)
+    try:
+        doc = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
     if isinstance(doc, dict):
         if "classes" not in doc:
             raise UsageError(f"{path}: missing the 'classes' key")
@@ -179,23 +185,277 @@ def _parse_moduli(spec: str) -> ModuliSet:
         raise UsageError(f"bad --moduli {spec!r}: {exc}") from None
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "csv":
-        result = report.get("result", {})
-        rows = result.get("rows")
-        out = io.StringIO()
-        if isinstance(rows, list) and rows and isinstance(rows[0], dict):
-            writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
-        else:
-            flat = {k: v for k, v in result.items() if not isinstance(v, (dict, list))}
-            writer = csv.DictWriter(out, fieldnames=list(flat.keys()))
-            writer.writeheader()
-            writer.writerow(flat)
-        sys.stdout.write(out.getvalue())
-    else:
+def _load(source: str | None, args) -> tuple[object, object]:
+    """The command's input, loaded once, and its echo in the report."""
+    if source == "input":
+        return load_system(args.input, args.format == "text"), args.input
+    if source == "moduli":
+        S = _parse_moduli(args.moduli)
+        return S, list(S.moduli)
+    return None, None
+
+
+def _emit(report: dict, fmt: str, columns: tuple[str, ...] = ()) -> None:
+    """Write the report: JSON, or for csv the declared columns of its result."""
+    if fmt != "csv":
         sys.stdout.write(_dumps(report) + "\n")
+        return
+    result = report["result"]
+    if "rows" in result:
+        rows, fields = result["rows"], columns
+    else:
+        rows, fields = [result], [c for c in columns if c in result]
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(fields)
+    for row in rows:
+        values = (row[c] for c in fields)
+        writer.writerow([_frac(v) if isinstance(v, Fraction) else v for v in values])
+    sys.stdout.write(out.getvalue())
+
+
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    columns: tuple[str, ...]  # CSV columns in order; the result may omit some
+    source: str | None  # "input" (a system file), "moduli" (a list) or None
+    arguments: tuple  # (flags, add_argument options) per extra argument
+    handler: Callable[[argparse.Namespace, object], dict]  # (args, loaded input) -> report
+
+
+COMMANDS: dict[str, _Command] = {}
+
+
+def _command(name: str, help_: str, columns: tuple[str, ...], source: str | None, *arguments):
+    """Enter the decorated handler in COMMANDS as subcommand ``name``.
+
+    The handler reads library functions as module globals when it runs,
+    so that a tracer that rebinds them here sees every call.
+    """
+    def register(handler):
+        COMMANDS[name] = _Command(help_, columns, source, arguments, handler)
+        return handler
+    return register
+
+
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+_SOURCES = {
+    "input": _arg("--input", required=True,
+                  help="system file: JSON {\"classes\": [[n, r], ...]}, or 'r mod n' "
+                       "lines with --format text"),
+    "moduli": _arg("--moduli", required=True, help="comma-separated, e.g. 2,3,4,6,12"),
+}
+_Q = _arg("--Q", type=float, required=True,
+          help="smoothness bound: the smooth part of a modulus has only primes <= Q")
+_M_GUARD = _arg("--guard", type=int, default=DEFAULT_M_GUARD,
+                help="max decomposition modulus M (default 10^7)")
+_SPLIT_WORK = "work units of the CRT splits (default 1e9)"
+
+
+@_command("density", "exact uncovered density of a system",
+          ("delta", "period", "uncovered_count", "method", "witness"), "input",
+          _arg("--guard", type=int, default=DEFAULT_CELL_GUARD,
+               help=f"max scan period in cells and, past it, max {_SPLIT_WORK}"))
+def _density(args, system):
+    rep = exact_density(system, args.guard)
+    return {"inputs": {"guard": args.guard},
+            "result": {"delta": rep.value, "period": rep.period,
+                       "uncovered_count": rep.uncovered_count, "method": rep.method,
+                       "witness": rep.witness}}
+
+
+@_command("bounds", "pair-correction lower bounds (plain and refined)",
+          ("alpha", "beta", "plain_bound", "refined_bound", "conclusion"), "input",
+          _arg("--sort-desc", action="store_true",
+               help="sort classes by descending modulus before the refined bound"))
+def _bounds(args, system):
+    cert = pair_correction_bound(system, refined=True, sort_desc=args.sort_desc)
+    a, b = cert.components["alpha"], cert.components["beta"]
+    return {"inputs": {"sort_desc": args.sort_desc},
+            "result": {"alpha": a, "beta": b, "plain_bound": a - b,
+                       "refined_bound": cert.lower_bound, "conclusion": cert.conclusion}}
+
+
+@_command("certify", "positivity certificate via smooth-part decomposition",
+          ("kind", "lower_bound", "conclusion", "M", "pattern_count"), "input", _Q, _M_GUARD,
+          _arg("--audit", action="store_true",
+               help="include the per-pattern contribution table (JSON only)"))
+def _certify(args, system):
+    cert = positivity_certificate(system, args.Q, args.guard)
+    result = {"kind": cert.kind, "lower_bound": cert.lower_bound, "conclusion": cert.conclusion,
+              "M": cert.components["M"], "pattern_count": cert.components["pattern_count"]}
+    if args.audit:
+        result["per_pattern"] = cert.components["per_pattern"]
+    return {"inputs": {"Q": args.Q, "guard": args.guard}, "result": result}
+
+
+@_command("decompose", "smooth-part decomposition structure (groups only in JSON)",
+          ("M", "Q", "pattern_count"), "input", _Q, _M_GUARD,
+          _arg("--check-identity", action="store_true",
+               help="also compute delta(C) directly (a full-period scan, or the split "
+                    "engine past the scan guard) and verify the density identity"))
+def _decompose(args, system):
+    dec = decompose(system, args.Q, args.guard)
+    result = {
+        "M": dec.M, "Q": dec.Q, "pattern_count": len(dec.groups),
+        "groups": [{"count": g.count, "representative": g.representative,
+                    "subsystem": g.subsystem} for g in dec.groups],
+        "smooth_subsystem": dec.smooth_subsystem,
+    }
+    if args.check_identity:
+        ident = decomposition_identity(system, args.Q, args.guard)
+        result["identity"] = {"lhs": ident.lhs, "rhs": ident.rhs, "equal": ident.equal}
+    return {"inputs": {"Q": args.Q, "guard": args.guard}, "result": result}
+
+
+@_command("delta-minus", "minimum uncovered density over residue choices",
+          ("value", "optimal", "reciprocal_sum"), "moduli",
+          _arg("--mode", choices=("exhaustive", "greedy"), default="exhaustive",
+               help="the minimum by branch and bound, or a greedy upper bound"),
+          _arg("--guard", type=int, default=10**6,
+               help="max residue choices and class-mask bits (exhaustive), or max "
+                    "period cells (greedy); default 10^6"))
+def _delta_minus(args, S):
+    res = delta_minus(S, args.mode, args.guard)
+    return {"inputs": {"mode": args.mode, "guard": args.guard},
+            "result": {"value": res.value, "witness": res.witness,
+                       "optimal": res.optimal, "reciprocal_sum": res.reciprocal_sum}}
+
+
+@_command("delta-plus", "density of integers divisible by no modulus", ("value",), "moduli",
+          _arg("--guard", type=int, default=DEFAULT_CELL_GUARD, help=f"max {_SPLIT_WORK}"))
+def _delta_plus(args, S):
+    return {"inputs": {"guard": args.guard}, "result": {"value": delta_plus(S, args.guard)}}
+
+
+@_command("greedy", "random-then-greedy near-cover on (N, KN]; CSV: one row per greedy step",
+          ("j", "divisors", "f", "residue", "uncovered_after"), None,
+          _arg("--N", type=int, required=True, help="random residues for the moduli in (N, 2N]"),
+          _arg("--K", type=int, required=True, help="greedy residues for the moduli in (2N, KN]"),
+          _arg("--seed", type=int, default=0, help="seed of the random residues"),
+          _arg("--window", type=int, default=None,
+               help="cover the cells [0, window) (default 10*K*N, at most 1e9)"))
+def _greedy(args, _):
+    trace = greedy_cover(args.N, args.K, args.seed, args.window)
+    return {
+        "inputs": {"N": args.N, "K": args.K, "window": trace.window},
+        "seed": args.seed,
+        "diagnostics": {"rng": "numpy default_rng(seed)"},
+        "result": {
+            "uncovered_after_random": trace.uncovered_after_random,
+            "final_uncovered_count": trace.final_uncovered_count,
+            "final_fraction": trace.final_uncovered_fraction,
+            "approx_final_fraction": float(trace.final_uncovered_fraction),
+            "step_invariant": greedy_step_invariant(trace),
+            "system": trace.system,
+            "rows": [{"j": s.j, "divisors": len(s.divisors), "f": s.f, "residue": s.residue,
+                      "uncovered_after": s.uncovered_after} for s in trace.steps],
+        },
+    }
+
+
+@_command("construct-exact", "exact covering system with large squarefree moduli",
+          ("J", "min_modulus_bound", "class_count", "min_modulus", "multiplicity",
+           "multiplicity_bound", "verified", "reciprocal_sum"), None,
+          _arg("--J", type=int, required=True, help="depth: the number of block levels"),
+          _arg("--minimal-schedule", action="store_true",
+               help="use the minimal block schedule instead of (j+1)^(j+1)"))
+def _construct_exact(args, _):
+    plan = exact_cover_construct(args.J, minimal_schedule=args.minimal_schedule)
+    check = is_exact_cover(plan.system)
+    return {
+        "inputs": {"J": args.J, "minimal_schedule": args.minimal_schedule},
+        "result": {
+            "J": plan.depth, "block_bounds": list(plan.block_bounds),
+            "min_modulus_bound": plan.min_modulus_bound, "class_count": len(plan.system),
+            "min_modulus": min(c.modulus for c in plan.system),
+            "multiplicity": plan.system.multiplicity(),
+            "multiplicity_bound": plan.multiplicity_bound,
+            "verified": bool(check), "reciprocal_sum": check.reciprocal_sum,
+            "system": plan.system,
+        },
+    }
+
+
+@_command("haight", "prime-product modulus sets with small pair correction",
+          ("N", "approx_threshold", "prime_count", "sigma_ratio", "approx_sigma_ratio",
+           "divisor_count", "approx_alpha", "beta_upper_bound", "approx_beta_upper_bound"), None,
+          _arg("--N", type=int, required=True, help="the primes in (exp(sqrt(log N)) log N, N]"),
+          _arg("--full-divisors", action="store_true",
+               help="also profile the system on every divisor d > 1 of their product"),
+          _arg("--guard", type=int, default=1 << 20,
+               help="max 2^k divisors over the k primes (default 2^20)"))
+def _haight(args, _):
+    st = prime_product_moduli(args.N, args.full_divisors, args.guard)
+    result = {"N": st.N, "approx_threshold": st.threshold,
+              "prime_count": len(st.primes), "primes": list(st.primes),
+              "sigma_ratio": st.sigma_ratio, "approx_sigma_ratio": float(st.sigma_ratio)}
+    if args.full_divisors:
+        result.update({"divisor_count": st.divisor_count, "approx_alpha": st.alpha_all_divisors,
+                       "beta_upper_bound": st.beta_upper_bound,
+                       "approx_beta_upper_bound": float(st.beta_upper_bound)})
+    return {"inputs": {"N": args.N, "full_divisors": args.full_divisors}, "result": result}
+
+
+@_command("witness", "uncovered integer found through the smooth part",
+          ("witness", "verified"), "input",
+          _arg("--B", type=int, required=True, help="all moduli lie in (1, B]"),
+          _arg("--s", type=int, default=1, help="multiplicity bound"))
+def _witness(args, system):
+    A = extend_witness(system, args.B, args.s)
+    return {"inputs": {"B": args.B, "s": args.s}, "result": {"witness": A, "verified": True}}
+
+
+@_command("stats", "moments of delta over random residue systems",
+          ("mean", "second_moment", "variance", "method", "sample_count", "approx_std_error"),
+          "moduli",
+          _arg("--mode", choices=("enumerate", "pair", "sample"), default="enumerate",
+               help="enumerate every system, use the pair formula, or sample"),
+          _arg("--trials", type=int, default=1000, help="systems drawn in sample mode"),
+          _arg("--seed", type=int, default=0, help="seed of the draws in sample mode"),
+          _arg("--guard", type=int, default=None,
+               help="max W(T) (enumerate), 2^|T| subsets (pair), or in sample mode the "
+                    "mask bits (capped at 2*10^5), then the split engine's work units; default "
+                    "per mode"))
+def _stats(args, S):
+    guard = () if args.guard is None else (args.guard,)
+    if args.mode == "enumerate":
+        rep = enumerate_moments(S, *guard)
+    elif args.mode == "pair":
+        rep = pair_formula_moments(S, *guard)
+    else:
+        rep = sample_moments(S, args.trials, args.seed, *guard)
+    out = {"inputs": {"mode": args.mode},
+           "result": {"mean": rep.mean, "second_moment": rep.second_moment,
+                      "variance": rep.variance, "method": rep.method}}
+    if args.mode == "sample":
+        out["seed"] = args.seed
+        out["result"]["sample_count"] = rep.sample_count
+        out["result"]["approx_std_error"] = rep.std_error
+        out["diagnostics"] = {"rng": "numpy default_rng([seed, trial])"}
+    return out
+
+
+@_command("verify-exact-cover", "check partition of the integers without scanning",
+          ("exact", "reciprocal_sum", "reason"), "input")
+def _verify_exact_cover(args, system):
+    check = is_exact_cover(system)
+    pair = check.failing_pair
+    return {"inputs": {},
+            "result": {"exact": bool(check), "reciprocal_sum": check.reciprocal_sum,
+                       "reason": check.reason,
+                       "failing_pair": pair and [[c.modulus, c.residue] for c in pair]}}
+
+
+@_command("xineq", "prime-block supply inequality at level j", ("j", "lhs", "rhs", "holds"),
+          None, _arg("--j", type=int, required=True, help="level j >= 1"))
+def _xineq(args, _):
+    res = block_supply_check(args.j)
+    return {"inputs": {"j": args.j},
+            "result": {"j": res.j, "lhs": res.lhs, "rhs": res.rhs, "holds": res.holds}}
 
 
 def build_parser() -> _Parser:
@@ -205,325 +465,42 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, help_, epilog=None):
-        sp = sub.add_parser(name, help=help_, epilog=epilog)
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help, description=cmd.help,
+                            epilog="CSV columns: " + ", ".join(cmd.columns))
         sp.add_argument(
             "--format", choices=("json", "csv", "text"), default="json",
-            help="output format; 'text' reads --input as 'r mod n' lines and emits JSON",
+            help="output format; 'text' emits JSON and reads an --input file as 'r mod n' lines",
         )
-        return sp
-
-    sp = add("density", "exact uncovered density of a system",
-             epilog="CSV columns: delta, period, uncovered_count, method, witness")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--guard", type=int, default=DEFAULT_CELL_GUARD,
-                    help="max scan period in cells and, past it, max work of the "
-                         "CRT splits (default 1e9)")
-
-    sp = add("bounds", "pair-correction lower bounds (plain and refined)",
-             epilog="CSV columns: alpha, beta, plain_bound, refined_bound, conclusion")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--sort-desc", action="store_true",
-                    help="sort classes by descending modulus before the refined bound")
-
-    sp = add("certify", "positivity certificate via smooth-part decomposition",
-             epilog="CSV columns: lower_bound, conclusion, M, pattern_count")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--Q", type=float, required=True)
-    sp.add_argument("--guard", type=int, default=DEFAULT_M_GUARD, help="max M")
-    sp.add_argument("--audit", action="store_true",
-                    help="include the per-pattern contribution table")
-
-    sp = add("decompose", "smooth-part decomposition structure",
-             epilog="CSV columns: M, Q, pattern_count (groups only in JSON)")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--Q", type=float, required=True)
-    sp.add_argument("--guard", type=int, default=DEFAULT_M_GUARD, help="max M")
-    sp.add_argument("--check-identity", action="store_true",
-                    help="also compute delta(C) directly (a full-period scan, or the split "
-                         "engine past the scan guard) and verify the density identity")
-
-    sp = add("delta-minus", "minimum uncovered density over residue choices",
-             epilog="CSV columns: value, optimal, reciprocal_sum")
-    sp.add_argument("--moduli", required=True, help="comma-separated, e.g. 2,3,4,6,12")
-    sp.add_argument("--mode", choices=("exhaustive", "greedy"), default="exhaustive")
-    sp.add_argument("--guard", type=int, default=10**6)
-
-    sp = add("delta-plus", "density of integers divisible by no modulus",
-             epilog="CSV columns: value")
-    sp.add_argument("--moduli", required=True)
-    sp.add_argument("--guard", type=int, default=DEFAULT_CELL_GUARD,
-                    help="max work of the CRT splits (default 1e9)")
-
-    sp = add("greedy", "random-then-greedy near-cover on (N, KN]",
-             epilog="CSV rows: one per greedy step (j, divisors, f, residue, uncovered_after)")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--K", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--window", type=int, default=None)
-
-    sp = add("construct-exact", "exact covering system with large squarefree moduli",
-             epilog="CSV columns: J, min_modulus_bound, class_count, min_modulus, multiplicity, verified")
-    sp.add_argument("--J", type=int, required=True)
-    sp.add_argument("--minimal-schedule", action="store_true",
-                    help="use the minimal block schedule instead of (j+1)^(j+1)")
-
-    sp = add("haight", "prime-product modulus sets with small pair correction",
-             epilog="CSV columns: N, prime_count, sigma_ratio, approx_alpha, beta_upper_bound")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--full-divisors", action="store_true")
-    sp.add_argument("--guard", type=int, default=1 << 20)
-
-    sp = add("witness", "uncovered integer found through the smooth part",
-             epilog="CSV columns: witness")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--B", type=int, required=True, help="all moduli lie in (1, B]")
-    sp.add_argument("--s", type=int, default=1, help="multiplicity bound")
-
-    sp = add("stats", "moments of delta over random residue systems",
-             epilog="CSV columns: mean, second_moment, variance, method")
-    sp.add_argument("--moduli", required=True)
-    sp.add_argument("--mode", choices=("enumerate", "pair", "sample"), default="enumerate")
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--guard", type=int, default=None,
-                    help="max W(T) (enumerate), 2^|T| subsets (pair), or in sample mode the "
-                         "mask period (capped at 2*10^5) and then the split engine's work")
-
-    sp = add("verify-exact-cover", "check partition of the integers without scanning",
-             epilog="CSV columns: exact, reciprocal_sum, reason")
-    sp.add_argument("--input", required=True)
-
-    sp = add("xineq", "prime-block supply inequality at level j",
-             epilog="CSV columns: j, lhs, rhs, holds")
-    sp.add_argument("--j", type=int, required=True)
-
+        sources = (_SOURCES[cmd.source],) if cmd.source else ()
+        for flags, options in (*sources, *cmd.arguments):
+            sp.add_argument(*flags, **options)
     return p
-
-
-def _dispatch(args) -> dict:
-    cmd = args.command
-    text = args.format == "text"
-
-    if cmd == "density":
-        system = load_system(args.input, text)
-        rep = exact_density(system, args.guard)
-        return {
-            "inputs": {"input": args.input, "guard": args.guard},
-            "result": {
-                "delta": rep.value, "period": rep.period,
-                "uncovered_count": rep.uncovered_count, "method": rep.method,
-                "witness": rep.witness,
-            },
-        }
-
-    if cmd == "bounds":
-        system = load_system(args.input, text)
-        cert = pair_correction_bound(system, refined=True, sort_desc=args.sort_desc)
-        a, b = cert.components["alpha"], cert.components["beta"]
-        return {
-            "inputs": {"input": args.input, "sort_desc": args.sort_desc},
-            "result": {
-                "alpha": a, "beta": b,
-                "plain_bound": a - b,
-                "refined_bound": cert.lower_bound,
-                "conclusion": cert.conclusion,
-            },
-        }
-
-    if cmd == "certify":
-        system = load_system(args.input, text)
-        cert = positivity_certificate(system, args.Q, args.guard)
-        result = {
-            "kind": cert.kind, "lower_bound": cert.lower_bound,
-            "conclusion": cert.conclusion,
-            "M": cert.components["M"],
-            "pattern_count": cert.components["pattern_count"],
-        }
-        if args.audit:
-            result["per_pattern"] = cert.components["per_pattern"]
-        return {"inputs": {"input": args.input, "Q": args.Q, "guard": args.guard},
-                "result": result}
-
-    if cmd == "decompose":
-        system = load_system(args.input, text)
-        dec = decompose(system, args.Q, args.guard)
-        result = {
-            "M": dec.M, "Q": dec.Q, "pattern_count": len(dec.groups),
-            "groups": [
-                {"count": g.count, "representative": g.representative,
-                 "subsystem": g.subsystem}
-                for g in dec.groups
-            ],
-            "smooth_subsystem": dec.smooth_subsystem,
-        }
-        if args.check_identity:
-            ident = decomposition_identity(system, args.Q, args.guard)
-            result["identity"] = {"lhs": ident.lhs, "rhs": ident.rhs, "equal": ident.equal}
-        return {"inputs": {"input": args.input, "Q": args.Q, "guard": args.guard},
-                "result": result}
-
-    if cmd == "delta-minus":
-        S = _parse_moduli(args.moduli)
-        res = delta_minus(S, args.mode, args.guard)
-        return {
-            "inputs": {"moduli": list(S.moduli), "mode": args.mode, "guard": args.guard},
-            "result": {
-                "value": res.value, "witness": res.witness,
-                "optimal": res.optimal, "reciprocal_sum": res.reciprocal_sum,
-            },
-        }
-
-    if cmd == "delta-plus":
-        S = _parse_moduli(args.moduli)
-        return {
-            "inputs": {"moduli": list(S.moduli), "guard": args.guard},
-            "result": {"value": delta_plus(S, args.guard)},
-        }
-
-    if cmd == "greedy":
-        trace = greedy_cover(args.N, args.K, args.seed, args.window)
-        return {
-            "inputs": {"N": args.N, "K": args.K, "window": trace.window},
-            "seed": args.seed,
-            "diagnostics": {"rng": "numpy default_rng(seed)"},
-            "result": {
-                "uncovered_after_random": trace.uncovered_after_random,
-                "final_uncovered_count": trace.final_uncovered_count,
-                "final_fraction": trace.final_uncovered_fraction,
-                "approx_final_fraction": float(trace.final_uncovered_fraction),
-                "step_invariant": greedy_step_invariant(trace),
-                "system": trace.system,
-                "rows": [
-                    {"j": s.j, "divisors": len(s.divisors), "f": s.f,
-                     "residue": s.residue, "uncovered_after": s.uncovered_after}
-                    for s in trace.steps
-                ],
-            },
-        }
-
-    if cmd == "construct-exact":
-        plan = exact_cover_construct(args.J, minimal_schedule=args.minimal_schedule)
-        check = is_exact_cover(plan.system)
-        return {
-            "inputs": {"J": args.J, "minimal_schedule": args.minimal_schedule},
-            "result": {
-                "J": plan.depth, "block_bounds": list(plan.block_bounds),
-                "min_modulus_bound": plan.min_modulus_bound,
-                "class_count": len(plan.system),
-                "min_modulus": min(c.modulus for c in plan.system),
-                "multiplicity": plan.system.multiplicity(),
-                "multiplicity_bound": plan.multiplicity_bound,
-                "verified": bool(check),
-                "reciprocal_sum": check.reciprocal_sum,
-                "system": plan.system,
-            },
-        }
-
-    if cmd == "haight":
-        st = prime_product_moduli(args.N, args.full_divisors, args.guard)
-        result = {
-            "N": st.N, "approx_threshold": st.threshold,
-            "prime_count": len(st.primes), "primes": list(st.primes),
-            "sigma_ratio": st.sigma_ratio,
-            "approx_sigma_ratio": float(st.sigma_ratio),
-        }
-        if args.full_divisors:
-            result.update({
-                "divisor_count": st.divisor_count,
-                "approx_alpha": st.alpha_all_divisors,
-                "beta_upper_bound": st.beta_upper_bound,
-                "approx_beta_upper_bound": float(st.beta_upper_bound),
-            })
-        return {"inputs": {"N": args.N, "full_divisors": args.full_divisors},
-                "result": result}
-
-    if cmd == "witness":
-        system = load_system(args.input, text)
-        A = extend_witness(system, args.B, args.s)
-        return {
-            "inputs": {"input": args.input, "B": args.B, "s": args.s},
-            "result": {"witness": A, "verified": True},
-        }
-
-    if cmd == "stats":
-        S = _parse_moduli(args.moduli)
-        guard = () if args.guard is None else (args.guard,)
-        if args.mode == "enumerate":
-            rep = enumerate_moments(S, *guard)
-        elif args.mode == "pair":
-            rep = pair_formula_moments(S, *guard)
-        else:
-            rep = sample_moments(S, args.trials, args.seed, *guard)
-        out = {
-            "inputs": {"moduli": list(S.moduli), "mode": args.mode},
-            "result": {
-                "mean": rep.mean, "second_moment": rep.second_moment,
-                "variance": rep.variance, "method": rep.method,
-            },
-        }
-        if args.mode == "sample":
-            out["seed"] = args.seed
-            out["result"]["sample_count"] = rep.sample_count
-            out["result"]["approx_std_error"] = rep.std_error
-            out["diagnostics"] = {"rng": "numpy default_rng([seed, trial])"}
-        return out
-
-    if cmd == "verify-exact-cover":
-        system = load_system(args.input, text)
-        check = is_exact_cover(system)
-        return {
-            "inputs": {"input": args.input},
-            "result": {
-                "exact": bool(check), "reciprocal_sum": check.reciprocal_sum,
-                "reason": check.reason,
-                "failing_pair": (
-                    [[c.modulus, c.residue] for c in check.failing_pair]
-                    if check.failing_pair else None
-                ),
-            },
-        }
-
-    if cmd == "xineq":
-        res = block_supply_check(args.j)
-        return {
-            "inputs": {"j": args.j},
-            "result": {"j": res.j, "lhs": res.lhs, "rhs": res.rhs, "holds": res.holds},
-        }
-
-    raise UsageError(f"unknown command {cmd!r}")  # pragma: no cover
 
 
 def run(argv=None) -> int:
     """Parse argv, execute one command, emit its report; returns the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        cmd = COMMANDS[args.command]
+        loaded, echo = _load(cmd.source, args)
+        report = cmd.handler(args, loaded)
     except SystemExit as exc:  # --help / --version
         return exc.code or 0
-
-    try:
-        report = _dispatch(args)
     except GuardExceeded as exc:
         _emit({"command": args.command,
                "error": {"type": "guard-exceeded", "detail": exc.detail,
-                         "estimate": _encode(exc.estimate)}}, "json")
+                         "estimate": exc.estimate}}, "json")
         return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:  # includes SmoothCoverError, JSONDecodeError
+    except (UsageError, ValueError, OSError) as exc:  # argv, input files, SmoothCoverError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    diagnostics = {"library_version": __version__}
-    diagnostics.update(report.pop("diagnostics", {}))
-    report = {"command": args.command, **report, "diagnostics": diagnostics}
-    _emit(_encode(report), args.format)
+    if cmd.source:
+        report["inputs"][cmd.source] = echo
+    report["command"] = args.command
+    report["diagnostics"] = {"library_version": __version__, **report.get("diagnostics", {})}
+    _emit(report, args.format, cmd.columns)
     return 0
 
 

@@ -309,8 +309,8 @@ def lcm_guarded(moduli: Iterable[int], guard: int | None = None) -> int:
     of the smooth-part decomposition, bits of a class-mask period.  The
     signal is raised as soon as the running lcm exceeds ``guard`` and
     carries that lcm as its estimate.  Each CLI ``--guard`` bounds such an
-    lcm, except the W(T), subset-count and residue-choice-count guards and
-    the work budget of the density split engine.
+    lcm, except the W(T), subset-count, residue-choice-count and ``haight``
+    divisor-count guards and the work budget of the density split engine.
     ``guard=None`` computes the lcm unbounded (its size is linear in the
     input; only the scans it sizes need a bound).
     """

@@ -243,9 +243,9 @@ def exact_density(system: ResidueSystem, guard: int = DEFAULT_CELL_GUARD) -> Den
     A period lcm of at most ``guard`` cells is sieved in one pass (method
     'lcm-scan'), which also finds the witness.  Past it, ``_split_density``
     computes delta with ``guard`` as its work budget (method 'planner'), and
-    the report still gives the lcm as its period.  When that budget runs out too, the period guard's
-    GuardExceeded is raised; callers should then fall back to lower-bound
-    certificates.
+    the report still gives the lcm as its period.  When that budget runs
+    out too, the period guard's GuardExceeded is raised; callers should
+    then fall back to lower-bound certificates.
     """
     pairs = system.pairs()
     try:
@@ -347,7 +347,7 @@ class DeltaMinusResult:
     reciprocal_sum: Fraction
 
 
-def _class_masks(moduli: list[int], guard: int) -> tuple[int, dict[int, int]]:
+def _class_masks(moduli: list[int], guard: int | None) -> tuple[int, dict[int, int]]:
     """Guarded period L = lcm(moduli) and, per distinct n, the mask of the
     multiples of n in [0, L); class r of n is that mask shifted up by r."""
     L = lcm_guarded(moduli, guard)

@@ -40,11 +40,7 @@ def _bound_shape(T: ModuliSet) -> float:
     return float(alpha(T)) ** 2 * math.log(N) / N**2
 
 
-def enumerate_moments(
-    T: ModuliSet,
-    guard_w: int = DEFAULT_W_GUARD,
-    density_guard: int = DEFAULT_CELL_GUARD,
-) -> MomentReport:
+def enumerate_moments(T: ModuliSet, guard_w: int = DEFAULT_W_GUARD) -> MomentReport:
     """Exact mean, second moment and variance by enumerating all W(T) systems.
 
     Densities share the period L = lcm(T), so the sums run over integer
@@ -57,7 +53,7 @@ def enumerate_moments(
     if W > guard_w:
         raise GuardExceeded(f"W(T) = {W} exceeds guard {guard_w}", estimate=W)
     mods = sorted(T.moduli, reverse=True)
-    L, masks = _class_masks(mods, density_guard)
+    L, masks = _class_masks(mods, None)  # lcm(T) <= W(T) <= guard_w bounds the period
     levels = _walk_levels(mods, masks)
     weight = mods[0] if mods else 1
 

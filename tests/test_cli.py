@@ -1,4 +1,7 @@
+import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import random
@@ -10,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coversieve import density
-from coversieve.cli import _dumps, load_system, run
+from coversieve.cli import COMMANDS, _dumps, build_parser, load_system, run
+from coversieve.core import ResidueSystem
 
 from conftest import indented_json
 
@@ -104,10 +108,12 @@ class TestDensityCommand:
         ({"name": "no classes"}, "'classes'"),
         ([[2, 0, 5]], "[2, 0, 5]"),
         ([[2]], "[2]"),
+        ("", "bad.json: Expecting value"),
+        ('{"classes": [[2,', "bad.json: Expecting value"),
     ])
     def test_malformed_json_is_input_error(self, capsys, tmp_path, doc, named):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))  # str: raw text
         assert run(["density", "--input", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -269,6 +275,15 @@ class TestFormatsAndErrors:
         assert lines[0] == "j,divisors,f,residue,uncovered_after"
         assert len(lines) == 3  # header + steps j=5, j=6
 
+    def test_every_argument_has_help(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(COMMANDS)
+        for name, subparser in sub.choices.items():
+            for action in subparser._actions:
+                if not isinstance(action, argparse._HelpAction):
+                    assert action.help, (name, action.option_strings)
+
     def test_usage_error_exit_one(self):
         assert run([]) == 1
         assert run(["density"]) == 1  # missing --input
@@ -284,6 +299,65 @@ class TestFormatsAndErrors:
     def test_rationals_never_floats(self, capsys, opening_file):
         report = invoke_json(capsys, "density", "--input", opening_file)
         assert isinstance(report["result"]["delta"], str)
+
+
+# one or more argvs per subcommand, with input paths relative to tmp_path
+CSV_ARGVS = [
+    ("density", "--input", "opening.json"),
+    ("density", "--input", "positive.json"),
+    ("bounds", "--input", "positive.json"),
+    ("certify", "--input", "opening.json", "--Q", "2", "--audit"),
+    ("decompose", "--input", "opening.json", "--Q", "2", "--check-identity"),
+    ("delta-minus", "--moduli", "2,3,4,6,12"),
+    ("delta-plus", "--moduli", "4,6"),
+    ("greedy", "--N", "2", "--K", "3", "--seed", "1", "--window", "100"),
+    ("greedy", "--N", "2", "--K", "2"),  # no greedy step: the header alone
+    ("construct-exact", "--J", "2"),
+    ("haight", "--N", "100"),
+    ("haight", "--N", "100", "--full-divisors"),
+    ("witness", "--input", "positive.json", "--B", "4", "--s", "1"),
+    ("stats", "--moduli", "2,4"),
+    ("stats", "--moduli", "2,4", "--mode", "sample", "--trials", "5"),
+    ("verify-exact-cover", "--input", "exact.json"),
+    ("verify-exact-cover", "--input", "intersect.json"),
+    ("verify-exact-cover", "--input", "opening.json"),
+    ("xineq", "--j", "2"),
+]
+
+
+class TestCsvColumns:
+    """A CSV report has the declared columns that its result holds, in the
+    declared order, and one line per row (or one line) of the JSON values."""
+
+    @pytest.fixture
+    def inputs(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        for name, classes in [("opening.json", OPENING), ("positive.json", [[2, 0], [4, 1], [3, 0]]),
+                              ("exact.json", [[2, 0], [4, 1], [4, 3]]),
+                              ("intersect.json", [[2, 0], [4, 1], [4, 2]])]:
+            (tmp_path / name).write_text(json.dumps({"classes": classes}))
+
+    def test_every_subcommand_is_covered(self):
+        assert {argv[0] for argv in CSV_ARGVS} == set(COMMANDS)
+
+    @pytest.mark.parametrize("argv", CSV_ARGVS, ids=" ".join)
+    def test_header_is_the_declared_columns_present(self, capsys, inputs, argv):
+        result = invoke_json(capsys, *argv)["result"]
+        code, out = invoke(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, *lines = csv.reader(io.StringIO(out))
+        columns = COMMANDS[argv[0]].columns
+        rows = result.get("rows", [result])
+        assert header == [c for c in columns if "rows" in result or c in result]
+        assert lines == [["" if row[c] is None else str(row[c]) for c in header] for row in rows]
+
+    def test_verify_exact_cover_header_does_not_depend_on_the_answer(self, capsys, inputs):
+        headers = set()
+        for path in ("exact.json", "intersect.json", "opening.json"):
+            code, out = invoke(capsys, "verify-exact-cover", "--input", path, "--format", "csv")
+            assert code == 0
+            headers.add(out.splitlines()[0])
+        assert headers == {"exact,reciprocal_sum,reason"}
 
 
 class TestReportBytes:
@@ -348,8 +422,21 @@ class TestReportWriter:
     def test_matches_indented_json(self, obj):
         assert _dumps(obj) == indented_json(obj)
 
+    @pytest.mark.parametrize("obj, plain", [
+        (Fraction(-3, 4), "-3/4"),
+        ([Fraction(1, 3), 2, Fraction(5)], ["1/3", 2, "5/1"]),
+        (ResidueSystem.from_pairs([(2, 0), (3, 1)]), {"classes": [[2, 0], [3, 1]]}),
+        ([ResidueSystem(()), 7], [{"classes": []}, 7]),
+        ({"groups": [{"count": 2, "subsystem": ResidueSystem.from_pairs([(5, 4)]),
+                      "term": Fraction(1, 5)}]},
+         {"groups": [{"count": 2, "subsystem": {"classes": [[5, 4]]}, "term": "1/5"}]}),
+    ])
+    def test_fractions_and_systems(self, obj, plain):
+        # a Fraction is written as "p/q", a system as {"classes": [[n, r], ...]}
+        assert _dumps(obj) == indented_json(plain)
+
     def test_unencodable_raises_like_the_stdlib(self):
-        for obj in ({(1, 2): 0}, [object()], {"a": {3j: 1}}):
+        for obj in ({(1, 2): 0}, [object()], {"a": {3j: 1}}, {"a": object()}, {"a": {1, 2}}):
             with pytest.raises(TypeError):
                 indented_json(obj)
             with pytest.raises(TypeError):
