@@ -305,7 +305,8 @@ def prime_product_moduli(
     divisors = sorted(divisors)[1:]  # drop d = 1
 
     log_alpha = sum(math.log1p(-1.0 / d) for d in divisors)
-    inv_sq = sum(Fraction(1, d * d) for d in divisors)
+    # H is squarefree: sum_{d | H, d > 1} 1/d^2 = prod_{p | H} (1 + 1/p^2) - 1
+    inv_sq = math.prod((Fraction(p * p + 1, p * p) for p in ps), start=Fraction(1)) - 1
     return PrimeProductStats(
         N, threshold, ps, sigma_ratio,
         divisor_count=len(divisors),

@@ -17,9 +17,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-_SPF_LIMIT = 10**6
-_spf_cache: np.ndarray | None = None
-
 # Segment width for all segmented sieves (bools / bytes per block).  At
 # 2^20 bytes the strided class writes of one segment stay in a 2 MiB
 # per-core L2 cache; on a 440-class period of 2.9e8, 2^22 took 1.55x as
@@ -81,19 +78,12 @@ class ResidueSystem:
     def pairs(self) -> list[tuple[int, int]]:
         return [(c.modulus, c.residue) for c in self.classes]
 
-    def moduli(self) -> "ModuliSet":
-        return ModuliSet.from_iterable(c.modulus for c in self.classes)
-
     def multiplicity(self) -> int:
         """Largest number of classes sharing one modulus (0 if empty)."""
         counts: dict[int, int] = {}
         for c in self.classes:
             counts[c.modulus] = counts.get(c.modulus, 0) + 1
         return max(counts.values(), default=0)
-
-    def shifted(self, t: int) -> "ResidueSystem":
-        """Translate every class by t; uncovered density is invariant."""
-        return ResidueSystem(tuple(ResidueClass(c.modulus, c.residue + t) for c in self.classes))
 
     def reciprocal_sum(self) -> Fraction:
         """sum of 1/n over the classes, as integers over the lcm D of the
@@ -156,22 +146,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI13 = 3317044064679887385961981
 
 
-def _spf() -> np.ndarray:
-    global _spf_cache
-    if _spf_cache is None:
-        spf = np.zeros(_SPF_LIMIT + 1, dtype=np.int32)
-        spf[1] = 1
-        for p in range(2, isqrt(_SPF_LIMIT) + 1):
-            if spf[p] == 0:
-                sl = spf[p * p :: p]
-                sl[sl == 0] = p
-        # remaining zeros are primes
-        rest = np.flatnonzero(spf[2:] == 0) + 2
-        spf[rest] = rest
-        _spf_cache = spf
-    return _spf_cache
-
-
 def is_prime(n: int) -> bool:
     """Miller-Rabin over the 13 prime bases 2..41, a proof for n < _PSI13.
 
@@ -204,9 +178,7 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite n."""
-    if n % 2 == 0:
-        return 2
+    """One nontrivial factor of composite odd n."""
     for c in range(1, 64):
         x = y = 2
         d = 1
@@ -221,20 +193,26 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> Factorization:
-    """Exact factorization of n >= 1; n = 1 gives the empty factorization."""
+    """Exact factorization of n >= 1; n = 1 gives the empty factorization.
+
+    Trial division by the 168 primes below 1000 comes first.  A cofactor
+    left below 10^6 is then prime: it has no factor below 1000, and
+    1009^2 > 10^6.  Only larger cofactors go to Miller-Rabin and Pollard rho,
+    whose factors again have no prime below 1000.
+    """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     out: dict[int, int] = {}
-    stack = [n]  # cofactors still to split; no recursive closure, no cycle
+    for p in _SMALL_PRIMES:
+        if p * p > n:  # n is 1 or prime
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []  # cofactors still to split; no recursive closure, no cycle
     while stack:
         m = stack.pop()
-        if m <= _SPF_LIMIT:
-            spf = _spf()
-            while m > 1:
-                p = int(spf[m])
-                out[p] = out.get(p, 0) + 1
-                m //= p
-        elif is_prime(m):
+        if m < 10**6 or is_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
             d = _pollard_rho(m)
@@ -299,6 +277,9 @@ def primes_in(a: float, b: float) -> list[int]:
     for block in _prime_segments(lo, hi):
         out.extend(int(p) for p in block)
     return out
+
+
+_SMALL_PRIMES = tuple(primes_in(1, 1000))  # trial divisors of factorize
 
 
 def lcm_guarded(moduli: Iterable[int], guard: int | None = None) -> int:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, inf
 
 from .bounds import BoundCertificate, alpha, beta
-from .core import ResidueClass, ResidueSystem, factorize, lcm_guarded, smooth_split
+from .core import GuardExceeded, ResidueClass, ResidueSystem, factorize, lcm_guarded, smooth_split
 from .density import _ball_groups, exact_density
 
 DEFAULT_M_GUARD = 10**7
@@ -102,7 +102,13 @@ def decompose(
     if not 2 <= Q < inf:  # NaN fails every comparison
         raise ValueError("Q must be a finite number >= 2")
     splits = tuple(smooth_split(c.modulus, Q) for c in system.classes)
-    M = lcm_guarded((s for s, _ in splits), guard_m)
+    try:
+        M = lcm_guarded((s for s, _ in splits), guard_m)
+    except GuardExceeded as refusal:
+        raise GuardExceeded(
+            f"decomposition modulus M exceeds guard of {guard_m}",
+            estimate=refusal.estimate,
+        ) from None
 
     residues = [c.residue for c in system.classes]
     found = _membership_groups(splits, residues, M)

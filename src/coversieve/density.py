@@ -445,7 +445,13 @@ def delta_minus(
 
     # refuse before any mask is built: the period guard as _class_masks
     # applies it, then the residue-choice guard
-    lcm_guarded(mods, guard)
+    try:
+        lcm_guarded(mods, guard)
+    except GuardExceeded as refusal:
+        raise GuardExceeded(
+            f"class-mask period exceeds guard of {guard} bits",
+            estimate=refusal.estimate,
+        ) from None
     if prod(mods) > guard:
         raise GuardExceeded(
             f"residue-choice space {prod(mods)} exceeds guard {guard}",

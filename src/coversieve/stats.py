@@ -103,22 +103,19 @@ def pair_formula_moments(
         )
 
     # M(S) | m_all and L(S) | l_all, so the terms are summed as integers
-    # over the one denominator m_all * l_all
+    # over the one denominator m_all * l_all.  A term depends on S only
+    # through L(S) and m_all / M(S), so the subsets of the moduli seen so far
+    # are kept as L(S) -> sum of m_all / M(S): at most 2^|T| entries.
     m_all = prod(n - 2 for n in mods)
     l_all = lcm(*mods)
-    subtotal = 0
-
-    def walk(idx: int, m_prod: int, l_val: int):
-        nonlocal subtotal
-        if idx == len(mods):
-            subtotal += (m_all // m_prod) * (l_all // l_val)
-            return
-        walk(idx + 1, m_prod, l_val)
-        n = mods[idx]
-        walk(idx + 1, m_prod * (n - 2), lcm(l_val, n))
-
-    walk(0, 1, 1)
-    del walk  # it refers to itself: free the cycle on return
+    by_lcm = {1: m_all}
+    for n in mods:
+        for l_val, w in list(by_lcm.items()):
+            # no subset in by_lcm holds n yet, so n - 2 divides each of its
+            # m_all / M(S), and w // (n - 2) is exact
+            key = lcm(l_val, n)
+            by_lcm[key] = by_lcm.get(key, 0) + w // (n - 2)
+    subtotal = sum(w * (l_all // l_val) for l_val, w in by_lcm.items())
     prefactor = prod((Fraction(n - 2, n) for n in mods), start=Fraction(1))
     second = prefactor * Fraction(subtotal, m_all * l_all)
     mean = alpha(T)  # the mean over all residue choices is exactly prod(1 - 1/n)

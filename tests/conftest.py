@@ -194,6 +194,29 @@ def subset_delta_plus(moduli) -> Fraction:
     return 1 + Fraction(total, D)
 
 
+def walk_pair_second_moment(mods) -> Fraction:
+    """Second moment of the pair formula for distinct moduli >= 3, by a
+    recursive walk over all 2^|T| subsets S, each adding 1 / (M(S) L(S));
+    the reference for pair_formula_moments."""
+    mods = sorted(mods)
+    m_all = prod(n - 2 for n in mods)
+    l_all = lcm(*mods)
+    subtotal = 0
+
+    def walk(idx: int, m_prod: int, l_val: int):
+        nonlocal subtotal
+        if idx == len(mods):
+            subtotal += (m_all // m_prod) * (l_all // l_val)
+            return
+        walk(idx + 1, m_prod, l_val)
+        n = mods[idx]
+        walk(idx + 1, m_prod * (n - 2), lcm(l_val, n))
+
+    walk(0, 1, 1)
+    prefactor = prod((Fraction(n - 2, n) for n in mods), start=Fraction(1))
+    return prefactor * Fraction(subtotal, m_all * l_all)
+
+
 def pair_sums(mods: list[int]) -> tuple[Fraction, Fraction]:
     """(plain, refined) subtracted pair mass of the pair-correction bound.
 

@@ -123,9 +123,9 @@ def running_alpha(mods):
 
 
 # moduli for the Moebius kernel's edge cases: omega up to 7 (30030 =
-# 2*3*5*7*11*13, 510510 = 30030*17), moduli above core._SPF_LIMIT that
-# factor by Miller-Rabin and Pollard rho, all-equal moduli, and modulus 1
-# first and last
+# 2*3*5*7*11*13, 510510 = 30030*17), moduli with cofactors above 10^6
+# that factor by Miller-Rabin and Pollard rho, all-equal moduli, and
+# modulus 1 first and last
 WIDE_MODULI = [
     [30030, 510510, 2 * 510510, 3 * 30030, 7 * 510510, 17 * 30030, 6, 35, 11, 221],
     [510510, 1021020, 30030, 60060, 19 * 23, 19 * 510510, 23],

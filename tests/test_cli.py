@@ -149,6 +149,17 @@ class TestCertifyAndDecompose:
         assert report["result"]["M"] == 2
         assert report["result"]["identity"]["equal"] is True
 
+    def test_certify_refusal_names_the_m_guard(self, capsys, tmp_path):
+        # the 5-smooth parts of 20..24 already have lcm 120
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"classes": [[n, 0] for n in range(20, 60)]}))
+        code, out = invoke(capsys, "certify", "--input", str(path), "--Q", "5", "--guard", "100")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "guard-exceeded",
+            "detail": "decomposition modulus M exceeds guard of 100",
+            "estimate": 120,
+        }
 
     @pytest.mark.parametrize("command, Q", [
         ("certify", "nan"), ("certify", "inf"), ("certify", "-inf"),
@@ -170,6 +181,15 @@ class TestModuliCommands:
     def test_delta_plus(self, capsys):
         report = invoke_json(capsys, "delta-plus", "--moduli", "4,6")
         assert report["result"]["value"] == "2/3"
+
+    def test_delta_minus_refusal_names_the_mask_guard(self, capsys):
+        code, out = invoke(capsys, "delta-minus", "--moduli", "3,4,5,7,11,13", "--guard", "100")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "guard-exceeded",
+            "detail": "class-mask period exceeds guard of 100 bits",
+            "estimate": 420,
+        }
 
     def test_bad_moduli_is_input_error(self, capsys):
         assert run(["delta-plus", "--moduli", "4,x"]) == 1

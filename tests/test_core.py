@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coversieve as cs
 from coversieve.core import GuardExceeded, is_prime
@@ -55,15 +56,6 @@ class TestResidueSystem:
         assert sys_.pairs() == [(4, 1), (2, 0), (4, 1)]
         assert sys_.multiplicity() == 2
 
-    def test_moduli_multiset(self):
-        sys_ = cs.ResidueSystem.from_pairs([(6, 1), (4, 0), (6, 5)])
-        assert sys_.moduli().moduli == (4, 6, 6)
-        assert not sys_.moduli().distinct
-
-    def test_shift(self):
-        sys_ = cs.ResidueSystem.from_pairs([(5, 4)])
-        assert sys_.shifted(3).pairs() == [(5, 2)]
-
     def test_reciprocal_sum_is_the_fraction_sum(self):
         rnd = random.Random(12)
         for _ in range(80):
@@ -74,6 +66,11 @@ class TestResidueSystem:
             sys_ = cs.ResidueSystem.from_pairs((n, rnd.randrange(n)) for n in mods)
             expected = sum((Fraction(1, n) for n in mods), Fraction(0))
             assert sys_.reciprocal_sum() == expected
+
+
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
+NEAR_1000 = [983, 991, 997, 1009, 1013, 1019]  # the last primes tried and the first not
+ABOVE_1E6 = [1000003, 1000033, 1299709]
 
 
 class TestFactorize:
@@ -112,6 +109,26 @@ class TestFactorize:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             cs.factorize(0)
+
+    # trial division stops at 997; cofactors below 10^6 are taken as prime,
+    # larger ones go to Miller-Rabin and Pollard rho
+    @pytest.mark.parametrize("n", [
+        997**2, 997 * 1009, 1009**2, 999983, 10**6 - 1, 10**6, 10**6 + 1,
+        2**61 - 1, 3**40 * 1009, 1009 * 1013 * 3, 999983 * 1000003,
+    ])
+    def test_boundary_against_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert dict(cs.factorize(n).pairs) == sympy.factorint(n)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(
+        st.sampled_from(SMALL_PRIMES) | st.sampled_from(NEAR_1000) | st.sampled_from(ABOVE_1E6),
+        min_size=1, max_size=6,
+    ))
+    def test_products_against_sympy(self, primes):
+        sympy = pytest.importorskip("sympy")
+        n = math.prod(primes)
+        assert dict(cs.factorize(n).pairs) == sympy.factorint(n)
 
 
 PSI12 = 318665857834031151167461  # least strong pseudoprime to bases 2..37

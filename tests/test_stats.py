@@ -11,7 +11,9 @@ import coversieve as cs
 from coversieve import density, stats
 from coversieve.core import GuardExceeded
 
-from conftest import enumerate_residue_choices, naive_density, naive_moments
+from conftest import (
+    enumerate_residue_choices, naive_density, naive_moments, walk_pair_second_moment,
+)
 
 
 def M(*mods):
@@ -116,6 +118,24 @@ class TestPairFormula:
             assert pair.second_moment == enum.second_moment
             assert pair.variance == enum.variance
             done += 1
+
+    def test_matches_subset_walk_past_enumeration(self):
+        # 2^20 subsets, 2^20 entries at most in the lcm table; W(T) = 22!/2
+        # is far past enumeration
+        mods = range(3, 23)
+        rep = cs.pair_formula_moments(M(*mods))
+        assert rep.second_moment == walk_pair_second_moment(mods)
+        assert rep.variance == rep.second_moment - cs.alpha(M(*mods)) ** 2
+
+    def test_matches_subset_walk_seeded(self):
+        rnd = random.Random(65)
+        seen = set()
+        while len(seen) < 100:
+            mods = tuple(sorted(rnd.sample(range(3, 200), rnd.randint(1, 12))))
+            if mods in seen:
+                continue
+            seen.add(mods)
+            assert cs.pair_formula_moments(M(*mods)).second_moment == walk_pair_second_moment(mods)
 
     def test_modulus_two_rejected(self):
         with pytest.raises(ValueError):
