@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -364,10 +365,21 @@ def _class_masks(moduli: list[int], guard: int | None) -> tuple[int, dict[int, i
 
 
 def _walk_levels(order: list[int], masks: dict[int, int]) -> list[list[int]]:
-    """Per level of a walk over ``order``, the masks of classes 0, 1, ...
-    of its modulus, one list per distinct modulus; level 0 holds class 0
-    only, fixed by translation invariance.  ``m << 0`` would copy m."""
-    shifted = {n: [masks[n], *(masks[n] << r for r in range(1, n))] for n in set(order[1:])}
+    """Per level of a walk over ``order``, the masks of classes 0, 1, ...,
+    g - 1 of its modulus n, with g = gcd(n, lcm of the other moduli); one
+    list per distinct modulus.
+
+    delta depends on the residue r of one level only modulo its g: a
+    translation by t = 0 (mod lcm of the others), t = g*k (mod n), which CRT
+    allows, moves that class alone, from r to r + g*k.  So classes 0..g-1
+    stand for every choice, each for n / g of them.  A modulus that repeats
+    divides the lcm of the others and keeps g = n.  Level 0 holds class 0
+    only: translating the whole system fixes it.  ``m << 0`` would copy m.
+    """
+    prefix = list(accumulate(order, lcm, initial=1))  # lcm(order[:i])
+    suffix = list(accumulate(reversed(order), lcm, initial=1))[::-1]  # lcm(order[i:])
+    widths = {n: gcd(n, lcm(prefix[i], suffix[i + 1])) for i, n in enumerate(order) if i}
+    shifted = {n: [masks[n], *(masks[n] << r for r in range(1, g))] for n, g in widths.items()}
     return [[masks[n]] for n in order[:1]] + [shifted[n] for n in order[1:]]
 
 
@@ -418,7 +430,11 @@ def delta_minus(
     ``guard``) with depth-first search over moduli in decreasing order,
     pruning branches that cannot beat the best value found: each remaining
     class mod n can remove at most density 1/n.  The first residue is fixed
-    to 0, which is sound because delta is translation invariant.
+    to 0, which is sound because delta is translation invariant, and every
+    other modulus n tries only the residues below gcd(n, lcm of the
+    others), on which delta depends (``_walk_levels``).  Reducing a residue
+    keeps delta and makes the choice lexicographically smaller, so the
+    witness is the first optimal choice over all residues.
 
     Greedy mode peels the moduli in turn with ``_peel``, the step of
     ``greedy_cover``, over the uncovered cells of [0, L), L <= ``guard``:

@@ -390,6 +390,40 @@ def naive_greedy_peel(S: cs.ModuliSet) -> DeltaMinusResult:
     )
 
 
+def full_walk_delta_minus(S: cs.ModuliSet) -> DeltaMinusResult:
+    """Exhaustive delta_minus whose depth-first search tries every residue
+    of every modulus but the first (fixed to 0), largest modulus first,
+    with the same branch-and-bound; the reference for the search over
+    residues reduced modulo gcd(n, lcm of the others), down to the
+    witness.  S must be nonempty."""
+    order = sorted(S.moduli, reverse=True)
+    L = lcm(*order)
+    masks = {n: sum(1 << x for x in range(0, L, n)) for n in set(order)}
+    levels = [[masks[order[0]]]] + [[masks[n] << r for r in range(n)] for n in order[1:]]
+    tail_capacity = [0] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        tail_capacity[i] = tail_capacity[i + 1] + L // order[i]
+
+    best_count, best_choice = L + 1, []
+
+    def search(idx: int, uncovered: int, choice: list[int]):
+        nonlocal best_count, best_choice
+        count = uncovered.bit_count()
+        if count - tail_capacity[idx] >= best_count:
+            return
+        if idx == len(order):
+            if count < best_count:
+                best_count, best_choice = count, choice
+            return
+        for r, mask in enumerate(levels[idx]):
+            search(idx + 1, uncovered & ~mask, choice + [r])
+
+    search(0, (1 << L) - 1, [])
+    rsum = sum((Fraction(1, n) for n in order), Fraction(0))
+    witness = cs.ResidueSystem.from_pairs(zip(order, best_choice))
+    return DeltaMinusResult(Fraction(best_count, L), witness, True, rsum)
+
+
 def indented_json(obj) -> str:
     """The stdlib's indented, key-sorted dump; the reference for the CLI's
     report writer cli._dumps."""

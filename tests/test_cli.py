@@ -213,6 +213,18 @@ class TestStatsCommand:
         assert report["seed"] == 42
         assert report["result"]["sample_count"] == 100
 
+    @pytest.mark.parametrize("big", [2**63 + 1, 2**64])
+    def test_sample_refuses_moduli_past_2_63(self, capsys, big):
+        code = run(["stats", "--moduli", f"3,{big}", "--mode", "sample", "--trials", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: sample mode draws residues of moduli up to 2^63, not {big}\n"
+
+    def test_sample_accepts_modulus_2_63(self, capsys):
+        report = invoke_json(capsys, "stats", "--moduli", f"3,{2**63}", "--mode", "sample",
+                             "--trials", "3")
+        assert report["result"]["sample_count"] == 3
+
     @pytest.mark.parametrize("mode", ["pair", "sample"])
     def test_guard_bounds_every_mode(self, capsys, mode):
         code, out = invoke(capsys, "stats", "--moduli", "3,4,5", "--mode", mode,

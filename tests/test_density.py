@@ -16,6 +16,7 @@ from coversieve.core import GuardExceeded
 from conftest import (
     enumerate_residue_choices,
     exact_cover_exists,
+    full_walk_delta_minus,
     naive_ball_groups,
     naive_density,
     naive_greedy_peel,
@@ -424,6 +425,20 @@ class TestSplitDensity:
         assert cs.delta_plus(cs.ModuliSet.from_iterable(mods)) == (1 + none_odd) / 2
 
 
+def _small_multisets():
+    """Moduli lists drawn from 1..15, with repeats, 1, 2 and coprime mixes,
+    cut to the longest prefix whose product stays within 2*10^4."""
+    def within(mods):
+        kept = []
+        for n in mods:
+            if prod(kept) * n <= 2 * 10**4:
+                kept.append(n)
+        return kept
+
+    pool = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15]
+    return st.lists(st.sampled_from(pool), min_size=1, max_size=6).map(within)
+
+
 class TestDeltaMinus:
     def test_opening_moduli_reach_zero(self):
         res = cs.delta_minus(cs.ModuliSet.from_iterable([2, 3, 4, 6, 12]))
@@ -502,6 +517,32 @@ class TestDeltaMinus:
             for rs in itertools.product(*(range(n) for n in mods))
         )
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_small_multisets())
+    def test_reduced_walk_matches_full_walk(self, mods):
+        S = cs.ModuliSet.from_iterable(mods)
+        assert cs.delta_minus(S) == full_walk_delta_minus(S)
+
+    @pytest.mark.parametrize("mods", [
+        [4, 6, 9, 10, 15],  # 9 meets lcm(15, 10, 6, 4) = 60 in gcd 3
+        [1, 2, 3, 5, 7],
+        [6, 6, 10, 15],
+    ])
+    def test_reduced_walk_keeps_value_and_witness(self, mods):
+        S = cs.ModuliSet.from_iterable(mods)
+        assert cs.delta_minus(S) == full_walk_delta_minus(S)
+
+    def test_bench_set_walks_reduced_widths(self, monkeypatch):
+        walks = []
+        build = density._walk_levels
+        monkeypatch.setattr(density, "_walk_levels",
+                            lambda order, masks: walks.append(build(order, masks)) or walks[-1])
+        S = cs.ModuliSet.from_iterable([3, 4, 6, 8, 9, 10, 12, 15])
+        assert cs.delta_minus(S, guard=10**8) == full_walk_delta_minus(S)
+        widths = [len(level) for level in walks[0]]
+        assert widths == [1, 12, 10, 3, 4, 6, 4, 3]
+        assert prod(widths) == 103_680  # of 622,080 with every residue tried
+
     def test_greedy_builds_no_mask(self, monkeypatch):
         def no_masks(*args):
             raise AssertionError("greedy peel built a class mask")
@@ -554,9 +595,11 @@ class TestClassMasks:
         order = [9, 9, 6, 6, 4]
         _, masks = density._class_masks(order, 36)
         levels = density._walk_levels(order, masks)
-        assert [len(level) for level in levels] == [1, 9, 6, 6, 4]
+        # 4 meets lcm(9, 6) = 18 in gcd 2, so only its residues 0 and 1 matter
+        assert [len(level) for level in levels] == [1, 9, 6, 6, 2]
         assert levels[0] == [masks[9]] and levels[2] is levels[3]
-        assert levels[4] == [masks[4] << r for r in range(4)]
+        assert levels[1] == [masks[9] << r for r in range(9)]
+        assert levels[4] == [masks[4] << r for r in range(2)]
         assert density._walk_levels([], {}) == []
 
 

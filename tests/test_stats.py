@@ -65,6 +65,25 @@ class TestEnumerateMoments:
         rep = cs.enumerate_moments(T)
         assert rep.mean == total / T.product()
 
+    @pytest.mark.parametrize("mods", [[4, 6, 9, 10, 15], [8, 9, 12], [4, 6, 6, 9]])
+    def test_reduced_walk_matches_every_system(self, mods):
+        T = M(*mods)
+        deltas = [cs.exact_density(system).value for system in enumerate_residue_choices(T)]
+        rep = cs.enumerate_moments(T, guard_w=10**5)
+        assert rep.mean == sum(deltas) / len(deltas)
+        assert rep.second_moment == sum(d * d for d in deltas) / len(deltas)
+
+    def test_walks_one_system_per_reduced_choice(self, monkeypatch):
+        walks = []
+        build = stats._walk_levels
+        monkeypatch.setattr(stats, "_walk_levels",
+                            lambda order, masks: walks.append(build(order, masks)) or walks[-1])
+        T = M(*range(2, 10))
+        rep = cs.enumerate_moments(T)
+        # 9 fixed; 8 meets 1260 in 4, 7 and 5 in 1, 4 meets 2520 in 4
+        assert [len(level) for level in walks[0]] == [1, 4, 1, 6, 1, 4, 3, 2]
+        assert rep.mean == cs.alpha(T)
+
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             cs.enumerate_moments(M(100, 101, 103), guard_w=10**5)
@@ -74,8 +93,9 @@ class TestEnumerateMoments:
         assert rep.mean == 1 and rep.variance == 0
 
     def test_masks_of_the_fixed_modulus_not_built(self):
-        # the walk reads residue 0 of 200 only: the 199 masks of 199 plus a
-        # few more fit; all 200 shifted masks of 200 as well (433) do not
+        # the walk reads residue 0 of 200 only (and of 199, which is coprime
+        # to it): the 199 masks of 199 plus a few more would fit; all 200
+        # shifted masks of 200 as well (433) do not
         mask_bytes = 199 * 200 // 8
         tracemalloc.start()
         try:
@@ -268,6 +288,29 @@ class TestSampleMoments:
         L, masks = tables[0]
         assert sorted(masks) == [1, 3, 4, 6, 9]
         assert all(isinstance(mask, int) and mask.bit_length() <= L for mask in masks.values())
+
+    def test_draws_match_one_draw_per_modulus_up_to_2_63(self):
+        # one vector draw per trial gives the draws of one integers(0, n)
+        # call per modulus, also at the 32- and 64-bit edges
+        T = M(1, 3, 2**32, 2**32 + 1, 10**15 + 37, 2**63)
+        total = total_sq = Fraction(0)
+        for t in range(20):
+            rng = np.random.default_rng([5, t])
+            system = cs.ResidueSystem.from_pairs((n, int(rng.integers(0, n))) for n in T.moduli)
+            d = cs.exact_density(system).value
+            total += d
+            total_sq += d * d
+        rep = cs.sample_moments(T, 20, seed=5)
+        assert (rep.mean, rep.second_moment) == (total / 20, total_sq / 20)
+
+    @pytest.mark.parametrize("big", [2**63 + 1, 2**64])
+    def test_refuses_moduli_past_2_63_before_drawing(self, monkeypatch, big):
+        def no_draws(*args):
+            raise AssertionError("a residue was drawn")
+
+        monkeypatch.setattr(stats.np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match=r"up to 2\^63"):
+            cs.sample_moments(M(3, big), 5)
 
     def test_se_formula_and_scaling(self):
         T = M(2, 4)
