@@ -62,21 +62,28 @@ def _squarefree_divisors(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out[1:])
 
 
-def _earlier_pair_mass(mods: list[int]) -> tuple[Fraction, int, list[int]]:
-    """(beta, D, acc): D = lcm(mods) and, per index j, acc_j = sum of D/n_i
+def _earlier_pair_mass(
+    mods: list[int], D: int | None = None, S: defaultdict[int, int] | None = None, num: int = 0
+) -> tuple[int, int, defaultdict[int, int], list[int]]:
+    """(num, D, S, acc): D = lcm(mods) and, per index j, acc_j = sum of D/n_i
     over the i < j with gcd(n_i, n_j) > 1, so that j's pair mass is
-    acc_j / (D n_j) and beta = sum_j acc_j (D/n_j) / D^2.
+    acc_j / (D n_j) and beta = num / D^2 with num = sum_j acc_j (D/n_j).
 
     By Moebius inversion over the squarefree divisors d of n_j, the coprime
     earlier mass is sum_d mu(d) S_d with S_d = sum of D/n_i over the i < j
     that d divides; its d = 1 term is the whole earlier mass, so the
     non-coprime mass is -sum_{d > 1} mu(d) S_d.  That costs O(l 2^omega)
     integer additions instead of O(l^2) gcds.
+
+    The walk resumes from the state (D, S, num) an earlier call returned
+    when D is given as a common multiple of every modulus fed before and
+    now; S is updated in place, so a caller resuming twice copies it.
     """
-    D = lcm(*mods)
-    S: defaultdict[int, int] = defaultdict(int)
+    if D is None:
+        D = lcm(*mods)
+    if S is None:
+        S = defaultdict(int)
     acc = []
-    num = 0  # beta * D^2
     for n in mods:
         share = D // n
         a = 0
@@ -85,7 +92,7 @@ def _earlier_pair_mass(mods: list[int]) -> tuple[Fraction, int, list[int]]:
             S[d] += share
         acc.append(a)
         num += a * share
-    return Fraction(num, D * D), D, acc
+    return num, D, S, acc
 
 
 def beta(system: ResidueSystem) -> Fraction:
@@ -94,7 +101,8 @@ def beta(system: ResidueSystem) -> Fraction:
     Pairs are counted by multiset position, so repeated moduli contribute
     (two equal moduli > 1 are never coprime).
     """
-    return _earlier_pair_mass(_moduli_of(system))[0]
+    num, D, _, _ = _earlier_pair_mass(_moduli_of(system))
+    return Fraction(num, D * D)
 
 
 def pair_correction_bound(
@@ -117,7 +125,8 @@ def pair_correction_bound(
         classes.sort(key=lambda c: (-c.modulus, c.residue))
     mods = [c.modulus for c in classes]
     a = alpha(mods)
-    plain_sub, D, acc = _earlier_pair_mass(mods)
+    num, D, _, acc = _earlier_pair_mass(mods)
+    plain_sub = Fraction(num, D * D)
     if not refined:
         return BoundCertificate("pair-correction", a - plain_sub, {"alpha": a, "beta": plain_sub})
 

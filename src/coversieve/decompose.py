@@ -15,15 +15,21 @@ power q = p^e exactly dividing M: a p-adic ball of residues mod q.  Per q,
 the h mod q are grouped by the deepest ball holding them, as the density
 engine splits, and the groups are folded into the rest by CRT; nothing is
 built over [0, q) or [0, M), so memory grows with the classes, not with M.
+
+The classes whose smooth part is 1 admit every h and sit in every C_h.
+positivity_certificate computes their alpha and pair-kernel state once, as
+a base, and resumes the one pair kernel of bounds per pattern with only
+that pattern's extra classes; it reads the patterns as bitsets and builds
+no subsystem objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, lcm, prod
 
-from .bounds import BoundCertificate, alpha, beta
+from .bounds import BoundCertificate, _earlier_pair_mass, alpha
 from .core import GuardExceeded, ResidueClass, ResidueSystem, factorize, lcm_guarded, smooth_split
 from .density import _ball_groups, exact_density
 
@@ -89,15 +95,20 @@ def _membership_groups(splits, residues, M):
     return found
 
 
-def decompose(
-    system: ResidueSystem, Q: float, guard_m: int = DEFAULT_M_GUARD
-) -> Decomposition:
-    """Split C by Q-smooth parts into the family {C_h} modulo M.
+def _set_bits(bits: int):
+    """Indices of the set bits of bits, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
-    M is the lcm of the smooth parts of the moduli (guarded); each class
-    (n, r) lands in C_h exactly when h matches r modulo the smooth part of
-    n, contributing its rough cofactor.  Subsystem moduli are always
-    coprime to M, which is verified structurally.
+
+def _patterns(system: ResidueSystem, Q: float, guard_m: int):
+    """(splits, M, rough_pairs, patterns) of the decomposition, checked.
+
+    splits holds (smooth, rough) and rough_pairs (rough, r mod rough) per
+    class; patterns lists (bits, h-count, representative) per membership
+    pattern, by ascending representative.
     """
     if not 2 <= Q < inf:  # NaN fails every comparison
         raise ValueError("Q must be a finite number >= 2")
@@ -110,33 +121,42 @@ def decompose(
             estimate=refusal.estimate,
         ) from None
 
-    residues = [c.residue for c in system.classes]
-    found = _membership_groups(splits, residues, M)
-
-    # one rough class per distinct (rough, r), shared by every subsystem
     rough_pairs = []
-    shared: dict[tuple[int, int], ResidueClass] = {}
-    for (_, rough), r in zip(splits, residues):
+    for (_, rough), c in zip(splits, system.classes):
         if gcd(rough, M) != 1:
             raise RuntimeError("rough cofactor not coprime to M")
-        pair = (rough, r % rough)
-        rough_pairs.append(pair)
-        shared.setdefault(pair, ResidueClass(*pair))
+        rough_pairs.append((rough, c.residue % rough))
 
+    found = _membership_groups(splits, [c.residue for c in system.classes], M)
+    patterns = sorted(((bits, cnt, rep) for bits, (cnt, rep) in found.items()),
+                      key=lambda p: p[2])
+    # each class admits h exactly M / smooth-part times across [0, M)
+    landings = sum(cnt * bits.bit_count() for bits, cnt, _ in patterns)
+    if landings != sum(M // s for s, _ in splits):
+        raise RuntimeError("membership landings do not balance")
+    return splits, M, rough_pairs, patterns
+
+
+def decompose(
+    system: ResidueSystem, Q: float, guard_m: int = DEFAULT_M_GUARD
+) -> Decomposition:
+    """Split C by Q-smooth parts into the family {C_h} modulo M.
+
+    M is the lcm of the smooth parts of the moduli (guarded); each class
+    (n, r) lands in C_h exactly when h matches r modulo the smooth part of
+    n, contributing its rough cofactor.  Subsystem moduli are always
+    coprime to M, which is verified structurally.
+    """
+    splits, M, rough_pairs, patterns = _patterns(system, Q, guard_m)
+    # one rough class per distinct (rough, r), shared by every subsystem
+    shared = {pair: ResidueClass(*pair) for pair in set(rough_pairs)}
     groups = []
-    landings = 0
-    for bits, (cnt, rep) in sorted(found.items(), key=lambda kv: kv[1][1]):
-        indices = tuple(i for i in range(len(splits)) if bits >> i & 1)
-        landings += cnt * len(indices)
+    for bits, cnt, rep in patterns:
+        indices = tuple(_set_bits(bits))
         pairs = sorted({rough_pairs[i] for i in indices})
         groups.append(
             SubsystemGroup(cnt, rep, indices, ResidueSystem(tuple(map(shared.get, pairs))))
         )
-
-    # each class admits h exactly M / smooth-part times across [0, M)
-    expected = sum(M // s for s, _ in splits)
-    if landings != expected:
-        raise RuntimeError("membership landings do not balance")
 
     smooth_cls = tuple(
         c for c, (_, rough) in zip(system.classes, splits) if rough == 1
@@ -173,8 +193,10 @@ def decomposition_identity(
 
 def averaged_beta(system: ResidueSystem, Q: float, guard_m: int = DEFAULT_M_GUARD) -> Fraction:
     """Exact (1/M) sum_h beta(C_h), the average of beta over the subsystems."""
-    dec = decompose(system, Q, guard_m)
-    return sum((g.count * beta(g.subsystem) for g in dec.groups), Fraction(0)) / dec.M
+    cert = positivity_certificate(system, Q, guard_m)
+    return sum(
+        (p["h_count"] * p["beta"] for p in cert.components["per_pattern"]), Fraction(0)
+    ) / cert.components["M"]
 
 
 @dataclass(frozen=True)
@@ -218,22 +240,32 @@ def positivity_certificate(
     negative) and strictly improves averaging alpha and beta separately.
     The certificate is positive only if delta(C) > 0, and it needs no scan
     of the full period.
+
+    The base (classes of smooth part 1) is computed once over one D, the
+    lcm of every rough part; a pattern's extras are the rough pairs of its
+    other classes less the base pairs, merged as decompose merges them.
     """
-    dec = decompose(system, Q, guard_m)
+    splits, M, rough_pairs, patterns = _patterns(system, Q, guard_m)
+    base_bits = sum(1 << i for i, (s, _) in enumerate(splits) if s == 1)
+    base = {rough_pairs[i] for i in _set_bits(base_bits)}
+    base_mods = [n for n, _ in base]
+    base_alpha = alpha(base_mods)
+    D = lcm(*(rough for _, rough in splits))
+    base_num, _, base_S, _ = _earlier_pair_mass(base_mods, D)
+    DD = D * D
     total = Fraction(0)
     audit = []
-    for g in dec.groups:
-        a = alpha(g.subsystem)
-        b = beta(g.subsystem)
+    for bits, cnt, rep in patterns:
+        extra = [n for n, _ in {rough_pairs[i] for i in _set_bits(bits & ~base_bits)} - base]
+        a = base_alpha * Fraction(prod(n - 1 for n in extra), prod(extra))
+        b = Fraction(_earlier_pair_mass(extra, D, base_S.copy(), base_num)[0], DD)
         term = max(Fraction(0), a - b)
-        total += g.count * term
+        total += cnt * term
         audit.append(
-            {"h_count": g.count, "representative": g.representative,
-             "alpha": a, "beta": b, "term": term}
+            {"h_count": cnt, "representative": rep, "alpha": a, "beta": b, "term": term}
         )
-    bound = total / dec.M
+    bound = total / M
     return BoundCertificate(
         "decomposed", bound,
-        {"Q": Q, "M": dec.M, "pattern_count": len(dec.groups), "per_pattern": audit},
+        {"Q": Q, "M": M, "pattern_count": len(patterns), "per_pattern": audit},
     )
-

@@ -8,7 +8,7 @@ import pytest
 import coversieve as cs
 from coversieve.bounds import _squarefree_divisors
 
-from conftest import pair_sums, random_system
+from conftest import naive_membership, pair_sums, random_system
 
 
 class TestAlpha:
@@ -200,6 +200,44 @@ class TestPairKernelOracle:
                 avg_beta += g.count * plain
             assert cert.lower_bound == bound / dec.M
             assert cs.averaged_beta(system, Q) == avg_beta / dec.M
+
+    @pytest.mark.parametrize("pairs, Q", [
+        # (10, 3) lands as (5, 3), the rough pair of the base class (5, 3)
+        ([(10, 3), (5, 3), (4, 1), (15, 8)], 2),
+        # repeated identical classes, in the base and among the extras, and
+        # distinct extras with one rough pair: (20, 3) and (10, 3) give (5, 3)
+        ([(6, 1), (6, 1), (7, 2), (7, 2), (14, 9), (35, 4), (35, 4), (30, 7), (30, 7),
+          (20, 3), (10, 3)], 3),
+        # fully smooth classes: rough part 1, so alpha(C_h) = 0 where they land
+        ([(4, 1), (6, 5), (9, 2), (7, 3), (21, 10)], 3),
+        # every modulus even: no base class
+        ([(2, 1), (6, 3), (10, 7), (14, 0), (12, 5), (30, 11)], 2),
+        # only base classes, so M = 1 and one pattern
+        ([(3, 1), (9, 4), (15, 2), (5, 0), (21, 20)], 2),
+    ])
+    def test_certificate_edge_cases_against_naive_membership(self, pairs, Q):
+        system = cs.ResidueSystem.from_pairs(pairs)
+        patterns, counts = naive_membership(system, Q)
+        cert = cs.positivity_certificate(system, Q)
+        audit = cert.components["per_pattern"]
+        assert cert.components["M"] == len(patterns)
+        assert {patterns[p["representative"]]: p["h_count"] for p in audit} == counts
+        bound = avg_beta = Fraction(0)
+        for p in audit:
+            # C_h from the membership rule, identical rough pairs merged
+            sub = sorted({
+                (rough, pairs[i][1] % rough)
+                for i in patterns[p["representative"]]
+                for rough in [cs.smooth_split(pairs[i][0], Q)[1]]
+            })
+            mods = [n for n, _ in sub]
+            plain, _ = pair_sums(mods)
+            a = running_alpha(mods)
+            assert (p["alpha"], p["beta"], p["term"]) == (a, plain, max(Fraction(0), a - plain))
+            bound += p["h_count"] * max(Fraction(0), a - plain)
+            avg_beta += p["h_count"] * plain
+        assert cert.lower_bound == bound / len(patterns)
+        assert cs.averaged_beta(system, Q) == avg_beta / len(patterns)
 
     def test_divisor_cache_is_bounded(self):
         # one entry per distinct modulus seen; the bound caps its memory

@@ -412,12 +412,22 @@ class TestReportBytes:
          "ec2d4bcef9df474def611abb51353e0c3abfc5f6c1a703189c5927809e69e2ff"),
         (("density", "--input", "opening.json", "--guard", "10"),
          "8bed6442ed945b21b958ee79e0e5ed2bfac5fd5ea03991e5cbd3ddf25ccd1eaf"),
+        # every per-pattern alpha, beta and term of the certificate
+        (("certify", "--input", "r150.json", "--Q", "3", "--audit"),
+         "b1f706b00824bf59d2c28fb9d91d7d8cf31900bb12a2ab6e2f227dd492057c04"),
+        (("certify", "--input", "r50.json", "--Q", "5", "--audit"),
+         "3ea13e06ebf68a35b49fb9faa72674298f91482dfc27b26be7f4f8968f7b8e24"),
     ])
     def test_stdout_digest(self, capsys, monkeypatch, tmp_path, argv, digest):
         # the report echoes the input path, so it is given relative to tmp_path
         monkeypatch.chdir(tmp_path)
         (tmp_path / "intersect.json").write_text(json.dumps({"classes": [[2, 0], [4, 1], [4, 2]]}))
         (tmp_path / "opening.json").write_text(json.dumps({"classes": OPENING}))
+        for lo in (150, 50):
+            # every modulus in (lo, 2 lo], residues seeded by lo
+            rnd = random.Random(lo)
+            classes = [[n, rnd.randrange(n)] for n in range(lo + 1, 2 * lo + 1)]
+            (tmp_path / f"r{lo}.json").write_text(json.dumps({"classes": classes}))
         code, out = invoke(capsys, *argv)
         assert code == (2 if "error" in json.loads(out) else 0)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
