@@ -63,11 +63,12 @@ def _squarefree_divisors(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _earlier_pair_mass(
-    mods: list[int], D: int | None = None, S: defaultdict[int, int] | None = None, num: int = 0
+    mods: list[int], D: int | None = None, S: defaultdict[int, int] | None = None
 ) -> tuple[int, int, defaultdict[int, int], list[int]]:
-    """(num, D, S, acc): D = lcm(mods) and, per index j, acc_j = sum of D/n_i
-    over the i < j with gcd(n_i, n_j) > 1, so that j's pair mass is
-    acc_j / (D n_j) and beta = num / D^2 with num = sum_j acc_j (D/n_j).
+    """(num, D, S, acc): D = lcm(mods) unless given and, per index j,
+    acc_j = sum of D/n_i over the i < j with gcd(n_i, n_j) > 1, so that j's
+    pair mass is acc_j / (D n_j) and beta = num / D^2 with
+    num = sum_j acc_j (D/n_j).
 
     By Moebius inversion over the squarefree divisors d of n_j, the coprime
     earlier mass is sum_d mu(d) S_d with S_d = sum of D/n_i over the i < j
@@ -75,15 +76,16 @@ def _earlier_pair_mass(
     non-coprime mass is -sum_{d > 1} mu(d) S_d.  That costs O(l 2^omega)
     integer additions instead of O(l^2) gcds.
 
-    The walk resumes from the state (D, S, num) an earlier call returned
-    when D is given as a common multiple of every modulus fed before and
-    now; S is updated in place, so a caller resuming twice copies it.
+    The walk resumes from the state (D, S) an earlier call returned when D
+    is given as a common multiple of every modulus fed before and now; num
+    then counts only the pairs that end at the new moduli, and S is updated
+    in place, so a caller resuming twice copies it.
     """
     if D is None:
         D = lcm(*mods)
     if S is None:
         S = defaultdict(int)
-    acc = []
+    num, acc = 0, []
     for n in mods:
         share = D // n
         a = 0
@@ -95,13 +97,23 @@ def _earlier_pair_mass(
     return num, D, S, acc
 
 
-def beta(system: ResidueSystem) -> Fraction:
+def beta(
+    system: ResidueSystem, base: tuple[int, int, defaultdict[int, int]] | None = None
+) -> Fraction:
     """sum of 1/(n_i n_j) over index pairs i < j with gcd(n_i, n_j) > 1.
 
     Pairs are counted by multiset position, so repeated moduli contribute
-    (two equal moduli > 1 are never coprime).
+    (two equal moduli > 1 are never coprime).  base = (num, D, S), from the
+    pair kernel over other classes with D a multiple of every modulus of
+    both, puts those classes first: the result is beta of them followed by
+    system, and base is left unchanged.
     """
-    num, D, _, _ = _earlier_pair_mass(_moduli_of(system))
+    mods = _moduli_of(system)
+    if base is None:
+        num, D, _, _ = _earlier_pair_mass(mods)
+    else:
+        num, D, S = base
+        num += _earlier_pair_mass(mods, D, S.copy())[0]
     return Fraction(num, D * D)
 
 

@@ -16,20 +16,22 @@ the h mod q are grouped by the deepest ball holding them, as the density
 engine splits, and the groups are folded into the rest by CRT; nothing is
 built over [0, q) or [0, M), so memory grows with the classes, not with M.
 
-The classes whose smooth part is 1 admit every h and sit in every C_h.
+A group builds its subsystem only when it is read.  The classes whose
+smooth part is 1 admit every h and sit in every C_h, so
 positivity_certificate computes their alpha and pair-kernel state once, as
 a base, and resumes the one pair kernel of bounds per pattern with only
-that pattern's extra classes; it reads the patterns as bitsets and builds
-no subsystem objects.
+that pattern's extra classes, read from its bitset; it builds no
+subsystem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, inf, lcm, prod
+from functools import cached_property
+from math import gcd, inf, lcm
 
-from .bounds import BoundCertificate, _earlier_pair_mass, alpha
+from .bounds import BoundCertificate, _earlier_pair_mass, alpha, beta
 from .core import GuardExceeded, ResidueClass, ResidueSystem, factorize, lcm_guarded, smooth_split
 from .density import _ball_groups, exact_density
 
@@ -46,18 +48,28 @@ class SmoothCoverError(ValueError):
 class SubsystemGroup:
     """All h in [0, M) sharing one subsystem, stored once.
 
-    class_indices are positions into the parent system of every class
-    admitting these h (before merging); subsystem holds the rough-cofactor
-    classes with duplicates merged, since identical pairs arising from
-    different parent classes count once inside a subsystem.
+    bits is the membership pattern: bit i is set when class i of the parent
+    system admits these h, and class_indices lists those i.  subsystem holds
+    the rough-cofactor classes with duplicates merged, since identical pairs
+    arising from different parent classes count once inside a subsystem; it
+    is built on first access from rough, the rough class of every parent
+    class, one tuple shared by all groups of a decomposition.
     representative is one h with this subsystem, the least one when M is a
     prime power (the CRT fold does not track least elements otherwise).
     """
 
     count: int
     representative: int
-    class_indices: tuple[int, ...]
-    subsystem: ResidueSystem
+    bits: int
+    rough: tuple[ResidueClass, ...] = field(repr=False)
+
+    @property
+    def class_indices(self) -> tuple[int, ...]:
+        return tuple(_set_bits(self.bits))
+
+    @cached_property
+    def subsystem(self) -> ResidueSystem:
+        return ResidueSystem(tuple(sorted({self.rough[i] for i in _set_bits(self.bits)})))
 
 
 @dataclass(frozen=True)
@@ -68,6 +80,8 @@ class Decomposition:
     splits: tuple[tuple[int, int], ...]  # (smooth, rough) per class
     groups: tuple[SubsystemGroup, ...]
     smooth_subsystem: ResidueSystem  # classes whose modulus is Q-smooth
+    # rough class per parent class, identical pairs one object; the groups share it
+    rough: tuple[ResidueClass, ...] = field(repr=False)
 
 
 def _membership_groups(splits, residues, M):
@@ -103,12 +117,16 @@ def _set_bits(bits: int):
         bits ^= low
 
 
-def _patterns(system: ResidueSystem, Q: float, guard_m: int):
-    """(splits, M, rough_pairs, patterns) of the decomposition, checked.
+def decompose(
+    system: ResidueSystem, Q: float, guard_m: int = DEFAULT_M_GUARD
+) -> Decomposition:
+    """Split C by Q-smooth parts into the family {C_h} modulo M.
 
-    splits holds (smooth, rough) and rough_pairs (rough, r mod rough) per
-    class; patterns lists (bits, h-count, representative) per membership
-    pattern, by ascending representative.
+    M is the lcm of the smooth parts of the moduli (guarded); each class
+    (n, r) lands in C_h exactly when h matches r modulo the smooth part of
+    n, contributing its rough cofactor.  Subsystem moduli are always
+    coprime to M, which is verified structurally.  Groups come by
+    ascending representative.
     """
     if not 2 <= Q < inf:  # NaN fails every comparison
         raise ValueError("Q must be a finite number >= 2")
@@ -121,47 +139,30 @@ def _patterns(system: ResidueSystem, Q: float, guard_m: int):
             estimate=refusal.estimate,
         ) from None
 
-    rough_pairs = []
-    for (_, rough), c in zip(splits, system.classes):
-        if gcd(rough, M) != 1:
+    # one rough class per distinct (rough, r), shared by every subsystem
+    shared: dict[tuple[int, int], ResidueClass] = {}
+    rough = []
+    for (_, n), c in zip(splits, system.classes):
+        if gcd(n, M) != 1:
             raise RuntimeError("rough cofactor not coprime to M")
-        rough_pairs.append((rough, c.residue % rough))
+        pair = (n, c.residue % n)
+        rough.append(shared.setdefault(pair, ResidueClass(*pair)))
+    rough = tuple(rough)
 
     found = _membership_groups(splits, [c.residue for c in system.classes], M)
-    patterns = sorted(((bits, cnt, rep) for bits, (cnt, rep) in found.items()),
-                      key=lambda p: p[2])
+    groups = sorted(
+        (SubsystemGroup(cnt, rep, bits, rough) for bits, (cnt, rep) in found.items()),
+        key=lambda g: g.representative,
+    )
     # each class admits h exactly M / smooth-part times across [0, M)
-    landings = sum(cnt * bits.bit_count() for bits, cnt, _ in patterns)
+    landings = sum(g.count * g.bits.bit_count() for g in groups)
     if landings != sum(M // s for s, _ in splits):
         raise RuntimeError("membership landings do not balance")
-    return splits, M, rough_pairs, patterns
-
-
-def decompose(
-    system: ResidueSystem, Q: float, guard_m: int = DEFAULT_M_GUARD
-) -> Decomposition:
-    """Split C by Q-smooth parts into the family {C_h} modulo M.
-
-    M is the lcm of the smooth parts of the moduli (guarded); each class
-    (n, r) lands in C_h exactly when h matches r modulo the smooth part of
-    n, contributing its rough cofactor.  Subsystem moduli are always
-    coprime to M, which is verified structurally.
-    """
-    splits, M, rough_pairs, patterns = _patterns(system, Q, guard_m)
-    # one rough class per distinct (rough, r), shared by every subsystem
-    shared = {pair: ResidueClass(*pair) for pair in set(rough_pairs)}
-    groups = []
-    for bits, cnt, rep in patterns:
-        indices = tuple(_set_bits(bits))
-        pairs = sorted({rough_pairs[i] for i in indices})
-        groups.append(
-            SubsystemGroup(cnt, rep, indices, ResidueSystem(tuple(map(shared.get, pairs))))
-        )
 
     smooth_cls = tuple(
-        c for c, (_, rough) in zip(system.classes, splits) if rough == 1
+        c for c, (_, n) in zip(system.classes, splits) if n == 1
     )
-    return Decomposition(system, Q, M, splits, tuple(groups), ResidueSystem(smooth_cls))
+    return Decomposition(system, Q, M, splits, tuple(groups), ResidueSystem(smooth_cls), rough)
 
 
 @dataclass(frozen=True)
@@ -242,30 +243,32 @@ def positivity_certificate(
     of the full period.
 
     The base (classes of smooth part 1) is computed once over one D, the
-    lcm of every rough part; a pattern's extras are the rough pairs of its
-    other classes less the base pairs, merged as decompose merges them.
+    lcm of every rough part, and each pattern resumes beta from it with its
+    extras: the rough classes of its other classes less the base ones,
+    merged as the subsystems merge them.  No subsystem is built.
     """
-    splits, M, rough_pairs, patterns = _patterns(system, Q, guard_m)
-    base_bits = sum(1 << i for i, (s, _) in enumerate(splits) if s == 1)
-    base = {rough_pairs[i] for i in _set_bits(base_bits)}
+    dec = decompose(system, Q, guard_m)
+    base_bits = sum(1 << i for i, (s, _) in enumerate(dec.splits) if s == 1)
+    rough = [(c.modulus, c.residue) for c in dec.rough]
+    base = {rough[i] for i in _set_bits(base_bits)}
     base_mods = [n for n, _ in base]
     base_alpha = alpha(base_mods)
-    D = lcm(*(rough for _, rough in splits))
+    D = lcm(*(n for _, n in dec.splits))
     base_num, _, base_S, _ = _earlier_pair_mass(base_mods, D)
-    DD = D * D
     total = Fraction(0)
     audit = []
-    for bits, cnt, rep in patterns:
-        extra = [n for n, _ in {rough_pairs[i] for i in _set_bits(bits & ~base_bits)} - base]
-        a = base_alpha * Fraction(prod(n - 1 for n in extra), prod(extra))
-        b = Fraction(_earlier_pair_mass(extra, D, base_S.copy(), base_num)[0], DD)
+    for g in dec.groups:
+        extra = [n for n, _ in {rough[i] for i in _set_bits(g.bits & ~base_bits)} - base]
+        a = base_alpha * alpha(extra)
+        b = beta(extra, (base_num, D, base_S))
         term = max(Fraction(0), a - b)
-        total += cnt * term
+        total += g.count * term
         audit.append(
-            {"h_count": cnt, "representative": rep, "alpha": a, "beta": b, "term": term}
+            {"h_count": g.count, "representative": g.representative,
+             "alpha": a, "beta": b, "term": term}
         )
-    bound = total / M
+    bound = total / dec.M
     return BoundCertificate(
         "decomposed", bound,
-        {"Q": Q, "M": M, "pattern_count": len(patterns), "per_pattern": audit},
+        {"Q": Q, "M": dec.M, "pattern_count": len(dec.groups), "per_pattern": audit},
     )

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import coversieve as cs
-from coversieve.bounds import _squarefree_divisors
+from coversieve.bounds import _earlier_pair_mass, _squarefree_divisors
 
 from conftest import naive_membership, pair_sums, random_system
 
@@ -176,6 +176,16 @@ class TestPairKernelOracle:
             assert cert.components["beta"] == plain
             assert cert.components["refined_correction"] == refined
             assert cert.lower_bound == cs.alpha(system) - refined
+
+    def test_beta_resumed_from_a_base(self):
+        rnd = random.Random(79)
+        for system in self.systems():
+            mods = [c.modulus for c in system.classes]
+            k = rnd.randint(0, len(mods))
+            num, D, S, _ = _earlier_pair_mass(mods[:k], math.lcm(*mods))
+            before = dict(S)
+            assert cs.beta(mods[k:], (num, D, S)) == pair_sums(mods)[0]
+            assert S == before
 
     def test_alpha_is_running_product(self):
         for system in self.systems():

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 import tracemalloc
@@ -96,6 +97,20 @@ class TestDecompose:
             for c in g.subsystem.classes:
                 objects.setdefault((c.modulus, c.residue), set()).add(id(c))
         assert len(groups) > 1 and all(len(ids) == 1 for ids in objects.values())
+
+    def test_subsystems_built_on_first_read(self, monkeypatch):
+        rnd = random.Random(6)
+        system = cs.ResidueSystem.from_pairs((n, rnd.randrange(n)) for n in range(101, 141))
+        # the certificate reads the decomposition it makes, but no subsystem
+        module = importlib.import_module("coversieve.decompose")
+        made = []
+        monkeypatch.setattr(module, "decompose", lambda *a: made.append(cs.decompose(*a)) or made[-1])
+        cs.positivity_certificate(system, 3)
+        (dec,) = made
+        assert len(dec.groups) > 1 and all("subsystem" not in vars(g) for g in dec.groups)
+        first = dec.groups[0].subsystem
+        assert dec.groups[0].subsystem is first
+        assert all("subsystem" not in vars(g) for g in dec.groups[1:])
 
     def test_guard(self):
         system = cs.ResidueSystem.from_pairs([(2**20, 1), (3**13, 2)])
