@@ -364,23 +364,39 @@ def _class_masks(moduli: list[int], guard: int | None) -> tuple[int, dict[int, i
     return L, masks
 
 
-def _walk_levels(order: list[int], masks: dict[int, int]) -> list[list[int]]:
-    """Per level of a walk over ``order``, the masks of classes 0, 1, ...,
-    g - 1 of its modulus n, with g = gcd(n, lcm of the other moduli); one
-    list per distinct modulus.
+def _residue_walk(order: list[int], L: int, masks: dict[int, int], leaf, prune=None) -> None:
+    """Depth-first walk, in lexicographic order, over the residue choices
+    for ``order`` that delta tells apart: level i tries each r below
+    g_i = gcd(n_i, lcm(order[:i])), class r being ``masks[n_i]`` shifted by
+    r.  Each leaf calls ``leaf(uncovered, choice)`` with the bits of [0, L)
+    left uncovered and the residues chosen (a reused list: copy to keep).
+    ``prune(i, uncovered)``, if given, skips a node before level i when true.
 
-    delta depends on the residue r of one level only modulo its g: a
-    translation by t = 0 (mod lcm of the others), t = g*k (mod n), which CRT
-    allows, moves that class alone, from r to r + g*k.  So classes 0..g-1
-    stand for every choice, each for n / g of them.  A modulus that repeats
-    divides the lcm of the others and keeps g = n.  Level 0 holds class 0
-    only: translating the whole system fixes it.  ``m << 0`` would copy m.
+    Translating by t = 0 (mod lcm(order[:i])), t = -g_i*k (mod n_i), which
+    CRT allows, keeps delta and every earlier class, moves class i from
+    r + g_i*k to r, and permutes the residues of each later level.  By
+    induction over the levels, each leaf thus stands for prod(n_i / g_i)
+    choices of its delta, and the lexicographically first choice of least
+    delta has every residue below its g_i.  Level 0 (g = 1) and a repeated
+    modulus (g = n) need no rule of their own.
     """
-    prefix = list(accumulate(order, lcm, initial=1))  # lcm(order[:i])
-    suffix = list(accumulate(reversed(order), lcm, initial=1))[::-1]  # lcm(order[i:])
-    widths = {n: gcd(n, lcm(prefix[i], suffix[i + 1])) for i, n in enumerate(order) if i}
-    shifted = {n: [masks[n], *(masks[n] << r for r in range(1, g))] for n, g in widths.items()}
-    return [[masks[n]] for n in order[:1]] + [shifted[n] for n in order[1:]]
+    widths = [gcd(n, m) for n, m in zip(order, accumulate(order, lcm, initial=1))]
+    choice: list[int] = []
+
+    def walk(i: int, uncovered: int) -> None:
+        if prune is not None and prune(i, uncovered):
+            return
+        if i == len(order):
+            leaf(uncovered, choice)
+            return
+        mask = masks[order[i]]
+        for r in range(widths[i]):
+            choice.append(r)
+            walk(i + 1, uncovered & ~(mask << r))
+            choice.pop()
+
+    walk(0, (1 << L) - 1)
+    del walk  # it refers to itself: free the cycle on return
 
 
 def _uncovered_blocks(pairs, L: int) -> list[np.ndarray]:
@@ -429,12 +445,11 @@ def delta_minus(
     Exhaustive mode enumerates residue choices (product of moduli under
     ``guard``) with depth-first search over moduli in decreasing order,
     pruning branches that cannot beat the best value found: each remaining
-    class mod n can remove at most density 1/n.  The first residue is fixed
-    to 0, which is sound because delta is translation invariant, and every
-    other modulus n tries only the residues below gcd(n, lcm of the
-    others), on which delta depends (``_walk_levels``).  Reducing a residue
-    keeps delta and makes the choice lexicographically smaller, so the
-    witness is the first optimal choice over all residues.
+    class mod n can remove at most density 1/n.  Each modulus n tries only
+    the residues below gcd(n, lcm of the moduli before it), which fixes the
+    first residue to 0 (``_residue_walk``).  Every choice translates to one
+    of these with the same delta, so the witness is the lexicographically
+    first optimal choice over all residues.
 
     Greedy mode peels the moduli in turn with ``_peel``, the step of
     ``greedy_cover``, over the uncovered cells of [0, L), L <= ``guard``:
@@ -442,9 +457,6 @@ def delta_minus(
     ties).  The witness's exact density is at most prod(1 - 1/n).
     """
     mods = list(S.moduli)
-    if not mods:
-        empty = ResidueSystem(())
-        return DeltaMinusResult(Fraction(1), empty, True, Fraction(0))
     if mode not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
     rsum = sum((Fraction(1, n) for n in mods), Fraction(0))
@@ -475,7 +487,6 @@ def delta_minus(
         )
     order = sorted(mods, reverse=True)
     L, masks = _class_masks(order, guard)
-    levels = _walk_levels(order, masks)
 
     # residual-removal capacity of the tail of the search, as counts over [0, L)
     tail_capacity = [0] * (len(order) + 1)
@@ -485,23 +496,15 @@ def delta_minus(
     best_count = L + 1
     best_choice: list[int] = []
 
-    def search(idx: int, uncovered: int, choice: list[int]):
+    def prune(i: int, uncovered: int) -> bool:
+        return uncovered.bit_count() - tail_capacity[i] >= best_count
+
+    def keep_best(uncovered: int, choice: list[int]) -> None:
         nonlocal best_count, best_choice
         count = uncovered.bit_count()
-        if count - tail_capacity[idx] >= best_count:
-            return
-        if idx == len(order):
-            if count < best_count:
-                best_count = count
-                best_choice = choice.copy()
-            return
-        for r, mask in enumerate(levels[idx]):
-            choice.append(r)
-            search(idx + 1, uncovered & ~mask, choice)
-            choice.pop()
+        if count < best_count:
+            best_count, best_choice = count, choice.copy()
 
-    search(0, (1 << L) - 1, [])
-    del search  # it refers to itself: free the cycle and its masks on return
+    _residue_walk(order, L, masks, keep_best, prune)
     witness = ResidueSystem.from_pairs(zip(order, best_choice))
     return DeltaMinusResult(Fraction(best_count, L), witness, True, rsum)
-

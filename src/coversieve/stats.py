@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import alpha
 from .core import GuardExceeded, ModuliSet
-from .density import DEFAULT_CELL_GUARD, _class_masks, _split_density, _walk_levels
+from .density import DEFAULT_CELL_GUARD, _class_masks, _residue_walk, _split_density
 
 DEFAULT_W_GUARD = 10**6
 
@@ -45,36 +45,26 @@ def enumerate_moments(T: ModuliSet, guard_w: int = DEFAULT_W_GUARD) -> MomentRep
 
     Densities share the period L = lcm(T), so the sums run over integer
     uncovered counts and only the final normalization builds fractions.
-    The walk fixes residue 0 of the largest modulus (delta is translation
-    invariant) and tries each other modulus n only at the residues below
-    g = gcd(n, lcm of the others), on which delta depends
-    (``_walk_levels``).  Each visited system stands for the same number of
-    the W(T) systems, so both sums are exact averages over those visited:
-    576 of the 362,880 for T = 2..9.
+    The walk tries each modulus n only at the residues below gcd(n, lcm of
+    the moduli before it), largest first (``_residue_walk``).  Each visited
+    system stands for the same number of the W(T) systems, so both sums are
+    exact averages over those visited: 144 of the 362,880 for T = 2..9.
     """
     W = T.product()
     if W > guard_w:
         raise GuardExceeded(f"W(T) = {W} exceeds guard {guard_w}", estimate=W)
     mods = sorted(T.moduli, reverse=True)
     L, masks = _class_masks(mods, None)  # lcm(T) <= W(T) <= guard_w bounds the period
-    levels = _walk_levels(mods, masks)
-    visited = prod(len(level) for level in levels)
+    visited = total = total_sq = 0
 
-    total = 0
-    total_sq = 0
+    def add(uncovered: int, _choice) -> None:
+        nonlocal visited, total, total_sq
+        c = uncovered.bit_count()
+        visited += 1
+        total += c
+        total_sq += c * c
 
-    def walk(idx: int, uncovered: int):
-        nonlocal total, total_sq
-        if idx == len(mods):
-            c = uncovered.bit_count()
-            total += c
-            total_sq += c * c
-            return
-        for mask in levels[idx]:
-            walk(idx + 1, uncovered & ~mask)
-
-    walk(0, (1 << L) - 1)
-    del walk  # it refers to itself: free the cycle and its masks on return
+    _residue_walk(mods, L, masks, add)
     mean = Fraction(total, visited * L)
     second = Fraction(total_sq, visited * L * L)
     variance = second - mean * mean

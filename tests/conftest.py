@@ -15,6 +15,7 @@ from math import gcd, lcm, prod
 import numpy as np
 
 import coversieve as cs
+from coversieve import density
 from coversieve.construct import GreedyStep, GreedyTrace
 from coversieve.density import DeltaMinusResult, ExactCoverCheck
 
@@ -394,8 +395,8 @@ def full_walk_delta_minus(S: cs.ModuliSet) -> DeltaMinusResult:
     """Exhaustive delta_minus whose depth-first search tries every residue
     of every modulus but the first (fixed to 0), largest modulus first,
     with the same branch-and-bound; the reference for the search over
-    residues reduced modulo gcd(n, lcm of the others), down to the
-    witness.  S must be nonempty."""
+    residues reduced modulo gcd(n, lcm of the moduli before n), down to
+    the witness.  S must be nonempty."""
     order = sorted(S.moduli, reverse=True)
     L = lcm(*order)
     masks = {n: sum(1 << x for x in range(0, L, n)) for n in set(order)}
@@ -422,6 +423,35 @@ def full_walk_delta_minus(S: cs.ModuliSet) -> DeltaMinusResult:
     rsum = sum((Fraction(1, n) for n in order), Fraction(0))
     witness = cs.ResidueSystem.from_pairs(zip(order, best_choice))
     return DeltaMinusResult(Fraction(best_count, L), witness, True, rsum)
+
+
+def record_walks(monkeypatch, module) -> list[tuple[list[int], dict, list[tuple[int, ...]]]]:
+    """Replace module._residue_walk by the real walk run without its prune,
+    recording per call (order, masks, the choice of every leaf in order);
+    with no prune every leaf is reached, and the leaf keeps the result."""
+    walks = []
+    walk = density._residue_walk
+
+    def spy(order, L, masks, leaf, prune=None):
+        leaves = []
+        walks.append((order, masks, leaves))
+
+        def record(uncovered, choice):
+            leaves.append(tuple(choice))
+            leaf(uncovered, choice)
+
+        walk(order, L, masks, record)
+
+    monkeypatch.setattr(module, "_residue_walk", spy)
+    return walks
+
+
+def walk_widths(leaves: list[tuple[int, ...]]) -> list[int]:
+    """Residues tried per level, checking that the leaves are exactly every
+    choice of residues below those widths, in lexicographic order."""
+    widths = [1 + max(column) for column in zip(*leaves)]
+    assert leaves == list(itertools.product(*map(range, widths)))
+    return widths
 
 
 def indented_json(obj) -> str:

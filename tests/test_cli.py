@@ -417,6 +417,13 @@ class TestReportBytes:
          "b1f706b00824bf59d2c28fb9d91d7d8cf31900bb12a2ab6e2f227dd492057c04"),
         (("certify", "--input", "r50.json", "--Q", "5", "--audit"),
          "3ea13e06ebf68a35b49fb9faa72674298f91482dfc27b26be7f4f8968f7b8e24"),
+        # the exhaustive witness and the enumerated moments
+        (("delta-minus", "--moduli", "3,4,6,8,9,10,12,15", "--guard", "100000000"),
+         "44142c36e59fb7f14f3c8144724549ff0c7567e158d4a298efe98b3dbecaa599"),
+        (("delta-minus", "--moduli", "4,6,9,10,15"),
+         "03aa7599c755c33037fd2a2c8932fd51541820e223a9b750f02de55e87676b1c"),
+        (("stats", "--moduli", "2,3,4,5,6,7,8,9", "--mode", "enumerate"),
+         "1794a7599295f025c0204bc0892d0b5e274f24cf44e26b880766df78c19029b7"),
     ])
     def test_stdout_digest(self, capsys, monkeypatch, tmp_path, argv, digest):
         # the report echoes the input path, so it is given relative to tmp_path

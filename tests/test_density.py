@@ -23,8 +23,10 @@ from conftest import (
     naive_is_exact_cover,
     naive_witness,
     random_system,
+    record_walks,
     subset_delta_plus,
     unit_sum_distinct_sets,
+    walk_widths,
 )
 
 OPENING = cs.ResidueSystem.from_pairs([(2, 0), (3, 0), (4, 1), (6, 1), (12, 11)])
@@ -495,23 +497,18 @@ class TestDeltaMinus:
         with pytest.raises(GuardExceeded, match="class-mask period exceeds guard of 10000 bits"):
             cs.delta_minus(cs.ModuliSet.from_iterable([101, 103, 107, 109]), guard=10**4)
 
-    @pytest.mark.parametrize("mods, masks_of_largest", [
-        ([4, 6, 9], 1),  # the search fixes residue 0 of 9
+    @pytest.mark.parametrize("mods, residues_of_9", [
+        ([4, 6, 9], 1),  # the walk fixes residue 0 of 9
         ([4, 9, 6, 9], 9),  # 9 repeats: its second copy walks every residue
     ])
-    def test_exhaustive_builds_one_mask_of_unique_largest(self, monkeypatch, mods, masks_of_largest):
-        walks = []
-        build = density._walk_levels
-
-        def spy(order, masks):
-            walks.append((order, build(order, masks)))
-            return walks[-1][1]
-
-        monkeypatch.setattr(density, "_walk_levels", spy)
+    def test_exhaustive_builds_one_mask_of_unique_largest(self, monkeypatch, mods, residues_of_9):
+        walks = record_walks(monkeypatch, density)
         result = cs.delta_minus(cs.ModuliSet.from_iterable(mods))
-        order, levels = walks[0]
-        held = {mask for n, level in zip(order, levels) if n == 9 for mask in level}
-        assert len(held) == masks_of_largest
+        [(order, masks, leaves)] = walks
+        # one unshifted mask per distinct modulus: the walk shifts each class
+        assert sorted(masks) == sorted(set(mods)) and all(m & 1 for m in masks.values())
+        tried = {choice[i] for choice in leaves for i, n in enumerate(order) if n == 9}
+        assert tried == set(range(residues_of_9))
         assert result.value == min(
             naive_density(cs.ResidueSystem.from_pairs(zip(mods, rs)))
             for rs in itertools.product(*(range(n) for n in mods))
@@ -533,24 +530,33 @@ class TestDeltaMinus:
         assert cs.delta_minus(S) == full_walk_delta_minus(S)
 
     def test_bench_set_walks_reduced_widths(self, monkeypatch):
-        walks = []
-        build = density._walk_levels
-        monkeypatch.setattr(density, "_walk_levels",
-                            lambda order, masks: walks.append(build(order, masks)) or walks[-1])
+        walks = record_walks(monkeypatch, density)
         S = cs.ModuliSet.from_iterable([3, 4, 6, 8, 9, 10, 12, 15])
         assert cs.delta_minus(S, guard=10**8) == full_walk_delta_minus(S)
-        widths = [len(level) for level in walks[0]]
-        assert widths == [1, 12, 10, 3, 4, 6, 4, 3]
-        assert prod(widths) == 103_680  # of 622,080 with every residue tried
+        widths = walk_widths(walks[0][2])
+        # 12 meets 15 in 3, 9 meets lcm(15, 12, 10) = 60 in 3, 8 meets 180 in 4
+        assert widths == [1, 3, 10, 3, 4, 6, 4, 3]
+        assert prod(widths) == 25_920  # of 622,080 with every residue tried
 
     def test_greedy_builds_no_mask(self, monkeypatch):
         def no_masks(*args):
             raise AssertionError("greedy peel built a class mask")
 
         monkeypatch.setattr(density, "_class_masks", no_masks)
-        monkeypatch.setattr(density, "_walk_levels", no_masks)
+        monkeypatch.setattr(density, "_residue_walk", no_masks)
         S = cs.ModuliSet.from_iterable([1, 4, 6, 9, 6, 12])
         assert cs.delta_minus(S, "greedy") == naive_greedy_peel(S)
+
+    def test_empty_set_refuses_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            cs.delta_minus(cs.ModuliSet(()), mode="bogus")
+
+    def test_empty_set_greedy_is_not_optimal(self):
+        empty, nothing = cs.ModuliSet(()), cs.ResidueSystem(())
+        assert cs.delta_minus(empty, "greedy") == density.DeltaMinusResult(
+            Fraction(1), nothing, False, Fraction(0))
+        assert cs.delta_minus(empty) == density.DeltaMinusResult(
+            Fraction(1), nothing, True, Fraction(0))
 
     def test_greedy_matches_all_masks_peel(self):
         # seeded sets, each with a repeated modulus, every third one with modulus 1
@@ -591,16 +597,21 @@ class TestClassMasks:
             bits = np.unpackbits(raw, bitorder="little")[:L].astype(bool)
             assert np.array_equal(bits, np.arange(L) % n == 0), (L, n)
 
-    def test_walk_levels_share_one_list_per_modulus(self):
+    def test_walk_tries_residues_below_gcd_with_earlier_lcm(self):
         order = [9, 9, 6, 6, 4]
-        _, masks = density._class_masks(order, 36)
-        levels = density._walk_levels(order, masks)
-        # 4 meets lcm(9, 6) = 18 in gcd 2, so only its residues 0 and 1 matter
-        assert [len(level) for level in levels] == [1, 9, 6, 6, 2]
-        assert levels[0] == [masks[9]] and levels[2] is levels[3]
-        assert levels[1] == [masks[9] << r for r in range(9)]
-        assert levels[4] == [masks[4] << r for r in range(2)]
-        assert density._walk_levels([], {}) == []
+        L, masks = density._class_masks(order, 36)
+        leaves = []
+        density._residue_walk(order, L, masks, lambda u, choice: leaves.append((tuple(choice), u)))
+        # 6 meets lcm(9, 9) = 9 in 3, then lcm(9, 6) = 18 in 6; 4 meets 18 in 2
+        assert walk_widths([choice for choice, _ in leaves]) == [1, 9, 3, 6, 2]
+        for choice, uncovered in leaves:
+            covered = 0
+            for n, r in zip(order, choice):
+                covered |= masks[n] << r
+            assert uncovered == (1 << L) - 1 & ~covered
+        empty = []
+        density._residue_walk([], 1, {}, lambda u, choice: empty.append((tuple(choice), u)))
+        assert empty == [((), 1)]
 
 
 class TestUncoveredWitness:

@@ -12,7 +12,8 @@ from coversieve import density, stats
 from coversieve.core import GuardExceeded
 
 from conftest import (
-    enumerate_residue_choices, naive_density, naive_moments, walk_pair_second_moment,
+    enumerate_residue_choices, naive_density, naive_moments, record_walks, walk_pair_second_moment,
+    walk_widths,
 )
 
 
@@ -74,14 +75,12 @@ class TestEnumerateMoments:
         assert rep.second_moment == sum(d * d for d in deltas) / len(deltas)
 
     def test_walks_one_system_per_reduced_choice(self, monkeypatch):
-        walks = []
-        build = stats._walk_levels
-        monkeypatch.setattr(stats, "_walk_levels",
-                            lambda order, masks: walks.append(build(order, masks)) or walks[-1])
+        walks = record_walks(monkeypatch, stats)
         T = M(*range(2, 10))
         rep = cs.enumerate_moments(T)
-        # 9 fixed; 8 meets 1260 in 4, 7 and 5 in 1, 4 meets 2520 in 4
-        assert [len(level) for level in walks[0]] == [1, 4, 1, 6, 1, 4, 3, 2]
+        # 9 tries residue 0 only; 8, 7 and 5 meet the lcm before them in 1,
+        # 6 meets 504 in 6, 4 meets 2520 in 4: 144 of the 362,880 systems
+        assert walk_widths(walks[0][2]) == [1, 1, 1, 6, 1, 4, 3, 2]
         assert rep.mean == cs.alpha(T)
 
     def test_guard(self):
