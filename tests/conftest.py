@@ -58,6 +58,25 @@ def naive_density(system: cs.ResidueSystem) -> Fraction:
     return Fraction(unc, L)
 
 
+def divisor_system(L: int, lo: int, hi: int, seed: int) -> list[tuple[int, int]]:
+    """The divisors of L in (lo, hi], and L/2 and L/3, with residues drawn
+    from random.Random(seed): the shape of the bench density systems."""
+    rnd = random.Random(seed)
+    moduli = [d for d in range(lo + 1, hi + 1) if L % d == 0] + [L // 2, L // 3]
+    return [(n, rnd.randrange(n)) for n in moduli]
+
+
+def period_scan(pairs, L: int) -> tuple[int, int | None]:
+    """(uncovered count, least uncovered integer or None) of [0, L) under
+    the classes (n, r) in pairs, from one bool array over the whole period;
+    the reference for the segments and CRT layers of density._scan."""
+    covered = np.zeros(L, dtype=bool)
+    for n, r in pairs:
+        covered[r::n] = True
+    uncovered = L - int(np.count_nonzero(covered))
+    return uncovered, (int(np.argmin(covered)) if uncovered else None)
+
+
 def enumerate_residue_choices(S: cs.ModuliSet):
     """All residue systems with moduli S, in lexicographic residue order."""
     mods = list(S.moduli)

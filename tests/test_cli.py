@@ -16,7 +16,7 @@ from coversieve import density
 from coversieve.cli import COMMANDS, _dumps, build_parser, load_system, run
 from coversieve.core import ResidueSystem
 
-from conftest import indented_json
+from conftest import divisor_system, indented_json
 
 OPENING = [[2, 0], [3, 0], [4, 1], [6, 1], [12, 11]]
 
@@ -177,6 +177,12 @@ class TestModuliCommands:
         report = invoke_json(capsys, "delta-minus", "--moduli", "2,3,4,6,12")
         assert report["result"]["value"] == "0/1"
         assert report["result"]["optimal"] is True
+
+    def test_delta_minus_many_ones(self, capsys):
+        # one recursion level per modulus 1 once ended in RecursionError
+        report = invoke_json(capsys, "delta-minus", "--moduli", ",".join(["1"] * 1500))
+        assert report["result"]["value"] == "0/1"
+        assert report["result"]["witness"]["classes"] == [[1, 0]] * 1500
 
     def test_delta_plus(self, capsys):
         report = invoke_json(capsys, "delta-plus", "--moduli", "4,6")
@@ -424,6 +430,9 @@ class TestReportBytes:
          "03aa7599c755c33037fd2a2c8932fd51541820e223a9b750f02de55e87676b1c"),
         (("stats", "--moduli", "2,3,4,5,6,7,8,9", "--mode", "enumerate"),
          "1794a7599295f025c0204bc0892d0b5e274f24cf44e26b880766df78c19029b7"),
+        # a 73,513,440-cell period sieved in one pass: count and least witness
+        (("density", "--input", "divisors.json"),
+         "99932c6e24b16d285f27e44babbf55a2dfe5261c2884820d6609b0119a157dc1"),
     ])
     def test_stdout_digest(self, capsys, monkeypatch, tmp_path, argv, digest):
         # the report echoes the input path, so it is given relative to tmp_path
@@ -435,6 +444,8 @@ class TestReportBytes:
             rnd = random.Random(lo)
             classes = [[n, rnd.randrange(n)] for n in range(lo + 1, 2 * lo + 1)]
             (tmp_path / f"r{lo}.json").write_text(json.dumps({"classes": classes}))
+        classes = divisor_system(73_513_440, 200, 20_000, 0)
+        (tmp_path / "divisors.json").write_text(json.dumps({"classes": classes}))
         code, out = invoke(capsys, *argv)
         assert code == (2 if "error" in json.loads(out) else 0)
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -14,6 +14,7 @@ from coversieve import density
 from coversieve.core import GuardExceeded
 
 from conftest import (
+    divisor_system,
     enumerate_residue_choices,
     exact_cover_exists,
     full_walk_delta_minus,
@@ -22,6 +23,7 @@ from conftest import (
     naive_greedy_peel,
     naive_is_exact_cover,
     naive_witness,
+    period_scan,
     random_system,
     record_walks,
     subset_delta_plus,
@@ -529,6 +531,15 @@ class TestDeltaMinus:
         S = cs.ModuliSet.from_iterable(mods)
         assert cs.delta_minus(S) == full_walk_delta_minus(S)
 
+    @pytest.mark.parametrize("others", [(), (6, 4)])
+    def test_ones_add_no_recursion_depth(self, others):
+        # 1,500 levels of modulus 1 once passed the recursion limit; a class
+        # mod 1 covers everything, so delta is 0 with every residue 0
+        S = cs.ModuliSet(others + (1,) * 1500)
+        witness = cs.ResidueSystem.from_pairs((n, 0) for n in sorted(S.moduli, reverse=True))
+        rsum = sum((Fraction(1, n) for n in S.moduli), Fraction(0))
+        assert cs.delta_minus(S) == density.DeltaMinusResult(Fraction(0), witness, True, rsum)
+
     def test_bench_set_walks_reduced_widths(self, monkeypatch):
         walks = record_walks(monkeypatch, density)
         S = cs.ModuliSet.from_iterable([3, 4, 6, 8, 9, 10, 12, 15])
@@ -663,6 +674,85 @@ class TestSegmentBoundaries:
             rep = cs.exact_density(system)
             assert rep.value == naive_density(system)
             assert rep.witness == naive_witness(system)
+
+
+def record_layouts(monkeypatch) -> list:
+    """Record every (p, q) or None that _scan's layout rule returns."""
+    layouts = []
+    choose = density._layer_prime_power
+
+    def spy(pairs, L):
+        layouts.append(choose(pairs, L))
+        return layouts[-1]
+
+    monkeypatch.setattr(density, "_layer_prime_power", spy)
+    return layouts
+
+
+class TestLayeredScan:
+    """The period laid out by CRT as q layers over [0, L/q), against scans
+    of the whole period."""
+
+    def test_seeded_system_layers_at_default_segment(self, monkeypatch):
+        layouts = record_layouts(monkeypatch)
+        L = 24_504_480  # 2^5 3^2 5 7 11 13 17
+        pairs = divisor_system(L, 100, 5000, 1)
+        assert density._scan(pairs, L) == period_scan(pairs, L)
+        assert layouts[0] is not None and L // layouts[0][1] >= density.SEGMENT_SIZE
+
+    def test_bench_divisor_system_layers_on_17(self, monkeypatch):
+        # of the 0.35 reciprocal mass, 0.25 lies on moduli prime to 17
+        layouts = record_layouts(monkeypatch)
+        L = 73_513_440
+        report = cs.exact_density(cs.ResidueSystem.from_pairs(divisor_system(L, 200, 20_000, 0)))
+        assert layouts == [(17, 17)]
+        assert (report.uncovered_count, report.witness) == (53_225_898, 1)
+
+    @pytest.mark.parametrize("size", [1, 5, 16])
+    @pytest.mark.parametrize("extra, least", [
+        ([(48, 15)], 31),  # every y < R = 16 covered: the witness has t = 1
+        ([(48, 15), (48, 31)], 47),  # t = 2
+    ])
+    def test_witness_past_the_first_layer_block(self, monkeypatch, size, extra, least):
+        monkeypatch.setattr(density, "SEGMENT_SIZE", size)
+        layouts = record_layouts(monkeypatch)
+        system = cs.ResidueSystem.from_pairs([(2, 0), (4, 1), (8, 3), (16, 7)] + extra)
+        report = cs.exact_density(system)
+        assert layouts == [(3, 3)]
+        assert report.witness == naive_witness(system) == least
+        assert report.value == naive_density(system)
+
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_covering_system_has_no_witness(self, monkeypatch, size):
+        monkeypatch.setattr(density, "SEGMENT_SIZE", size)
+        layouts = record_layouts(monkeypatch)
+        report = cs.exact_density(OPENING)
+        assert layouts == [(3, 3)]
+        assert (report.value, report.witness) == (0, None)
+
+    @pytest.mark.parametrize("size", [2, 5])
+    def test_random_systems_match_whole_period_scan(self, monkeypatch, size):
+        monkeypatch.setattr(density, "SEGMENT_SIZE", size)
+        layouts = record_layouts(monkeypatch)
+        rnd = random.Random(90 + size)
+        for _ in range(150):
+            pairs = random_system(rnd, allow_unit=True).pairs()
+            L = lcm(*(n for n, _ in pairs))
+            assert density._scan(pairs, L) == period_scan(pairs, L)
+        assert sum(layout is not None for layout in layouts) >= 100
+
+    @pytest.mark.parametrize("pairs, size, layout", [
+        ([(2, 0), (3, 0), (4, 1), (6, 1), (12, 11)], 2, (3, 3)),
+        ([(2, 0), (3, 0), (4, 1), (6, 1), (12, 11)], 5, None),  # R = 3 or 4 < 5
+        ([(6, 0), (6, 1), (12, 5)], 1, None),  # nothing prime to 2 or to 3
+        # the coprime mass 6/7 * 1/60 buys less than the copy costs
+        ([(60, 0), (700, 1)], 1, None),
+        ([(30, 0), (700, 1)], 1, (7, 7)),  # 6/7 * 1/30 buys more
+        ([(32, 0), (3, 1), (9, 2)], 1, (2, 32)),  # q is the whole power of p
+    ])
+    def test_cost_rule(self, monkeypatch, pairs, size, layout):
+        monkeypatch.setattr(density, "SEGMENT_SIZE", size)
+        assert density._layer_prime_power(pairs, lcm(*(n for n, _ in pairs))) == layout
 
 
 class TestPairCorrectionAgainstScans:

@@ -182,6 +182,13 @@ class TestMomentsOracle:
         rep = cs.enumerate_moments(M(*mods))
         assert (rep.mean, rep.second_moment) == naive_moments(list(mods))
 
+    @pytest.mark.parametrize("others", [(), (2, 3)])
+    def test_enumerate_ones_add_no_recursion_depth(self, others):
+        # 1,500 levels of modulus 1 once passed the recursion limit; every
+        # system holds a class mod 1, so every density is 0
+        rep = cs.enumerate_moments(M(*others, *(1,) * 1500))
+        assert (rep.mean, rep.second_moment, rep.variance) == (0, 0, 0)
+
     def test_enumerate_seeded(self):
         rnd = random.Random(63)
         done = 0
