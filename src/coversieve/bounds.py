@@ -13,7 +13,6 @@ threshold function used to parameterize experiments.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -62,58 +61,53 @@ def _squarefree_divisors(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out[1:])
 
 
-def _earlier_pair_mass(
-    mods: list[int], D: int | None = None, S: defaultdict[int, int] | None = None
-) -> tuple[int, int, defaultdict[int, int], list[int]]:
-    """(num, D, S, acc): D = lcm(mods) unless given and, per index j,
-    acc_j = sum of D/n_i over the i < j with gcd(n_i, n_j) > 1, so that j's
-    pair mass is acc_j / (D n_j) and beta = num / D^2 with
-    num = sum_j acc_j (D/n_j).
+def _pair_kernel(entries) -> tuple[int, list[int]]:
+    """(num, acc) over entries (share, divisors, start) of moduli n_j, in
+    order, with divisors = _squarefree_divisors(n_j): acc_j = start_j + the
+    sum of share_i over the i < j with gcd(n_i, n_j) > 1, and
+    num = sum_j acc_j share_j.
 
-    By Moebius inversion over the squarefree divisors d of n_j, the coprime
-    earlier mass is sum_d mu(d) S_d with S_d = sum of D/n_i over the i < j
-    that d divides; its d = 1 term is the whole earlier mass, so the
-    non-coprime mass is -sum_{d > 1} mu(d) S_d.  That costs O(l 2^omega)
-    integer additions instead of O(l^2) gcds.
+    With share_j = D/n_j for a common multiple D of the moduli, acc_j / (D
+    n_j) is j's pair mass and beta = num / D^2.  By Moebius inversion over
+    the squarefree divisors d of n_j, the coprime earlier share is
+    sum_d mu(d) S_d with S_d = sum of share_i over the i < j that d
+    divides; its d = 1 term is the whole earlier share, so the non-coprime
+    share is -sum_{d > 1} mu(d) S_d.  That costs O(l 2^omega) integer
+    additions instead of O(l^2) gcds.
 
-    The walk resumes from the state (D, S) an earlier call returned when D
-    is given as a common multiple of every modulus fed before and now; num
-    then counts only the pairs that end at the new moduli, and S is updated
-    in place, so a caller resuming twice copies it.
+    start_j carries pair mass from outside the entries, such as that of
+    n_j against classes fed to an earlier call; an entry of share 0 adds
+    nothing to S, so its acc is its mass against the entries before it.
     """
-    if D is None:
-        D = lcm(*mods)
-    if S is None:
-        S = defaultdict(int)
+    S: dict[int, int] = {}
     num, acc = 0, []
-    for n in mods:
-        share = D // n
-        a = 0
-        for d, mu in _squarefree_divisors(n):
-            a -= mu * S[d]
-            S[d] += share
+    for share, divisors, a in entries:
+        for d, mu in divisors:
+            s = S.get(d)
+            if s is None:
+                S[d] = share
+            else:
+                a = a - s if mu > 0 else a + s
+                S[d] = s + share
         acc.append(a)
         num += a * share
-    return num, D, S, acc
+    return num, acc
 
 
-def beta(
-    system: ResidueSystem, base: tuple[int, int, defaultdict[int, int]] | None = None
-) -> Fraction:
+def _pair_mass(mods: list[int]) -> tuple[int, int, list[int]]:
+    """(num, D, acc) of the pair kernel over mods with D = lcm(mods)."""
+    D = lcm(*mods)
+    num, acc = _pair_kernel((D // n, _squarefree_divisors(n), 0) for n in mods)
+    return num, D, acc
+
+
+def beta(system: ResidueSystem) -> Fraction:
     """sum of 1/(n_i n_j) over index pairs i < j with gcd(n_i, n_j) > 1.
 
     Pairs are counted by multiset position, so repeated moduli contribute
-    (two equal moduli > 1 are never coprime).  base = (num, D, S), from the
-    pair kernel over other classes with D a multiple of every modulus of
-    both, puts those classes first: the result is beta of them followed by
-    system, and base is left unchanged.
+    (two equal moduli > 1 are never coprime).
     """
-    mods = _moduli_of(system)
-    if base is None:
-        num, D, _, _ = _earlier_pair_mass(mods)
-    else:
-        num, D, S = base
-        num += _earlier_pair_mass(mods, D, S.copy())[0]
+    num, D, _ = _pair_mass(_moduli_of(system))
     return Fraction(num, D * D)
 
 
@@ -137,7 +131,7 @@ def pair_correction_bound(
         classes.sort(key=lambda c: (-c.modulus, c.residue))
     mods = [c.modulus for c in classes]
     a = alpha(mods)
-    num, D, _, acc = _earlier_pair_mass(mods)
+    num, D, acc = _pair_mass(mods)
     plain_sub = Fraction(num, D * D)
     if not refined:
         return BoundCertificate("pair-correction", a - plain_sub, {"alpha": a, "beta": plain_sub})

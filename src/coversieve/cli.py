@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -458,7 +459,13 @@ def _xineq(args, _):
             "result": {"j": res.j, "lhs": res.lhs, "rhs": res.rhs, "holds": res.holds}}
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argv parser of every subcommand, built once per process.
+
+    parse_args keeps no state between calls, so run shares this one;
+    callers must not add to it.
+    """
     p = _Parser(
         prog="coversieve",
         description="Exact analysis of covering systems of congruences.",

@@ -18,10 +18,10 @@ built over [0, q) or [0, M), so memory grows with the classes, not with M.
 
 A group builds its subsystem only when it is read.  The classes whose
 smooth part is 1 admit every h and sit in every C_h, so
-positivity_certificate computes their alpha and pair-kernel state once, as
-a base, and resumes the one pair kernel of bounds per pattern with only
-that pattern's extra classes, read from its bitset; it builds no
-subsystem.
+positivity_certificate computes their alpha and pair mass once, as a base,
+and the pair mass of each other rough class against that base once; per
+pattern it runs the one pair kernel of bounds over only that pattern's
+extra classes, read from its bitset, and builds no subsystem.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, inf, lcm
+from math import gcd, inf, lcm, prod
 
-from .bounds import BoundCertificate, _earlier_pair_mass, alpha, beta
+from .bounds import BoundCertificate, _pair_kernel, _squarefree_divisors, alpha
 from .core import GuardExceeded, ResidueClass, ResidueSystem, factorize, lcm_guarded, smooth_split
 from .density import _ball_groups, exact_density
 
@@ -225,7 +225,8 @@ def averaged_alpha_floor(
     if d_smooth == 0:
         raise SmoothCoverError("Q-smooth classes cover all integers")
     avg = sum(
-        (g.count * alpha(g.subsystem) for g in dec.groups), Fraction(0)
+        (p["h_count"] * p["alpha"] for p in _certificate(dec).components["per_pattern"]),
+        Fraction(0),
     ) / dec.M
     exponent = (1 + 1 / Q) / float(d_smooth)
     floor = float(alpha(system)) ** exponent
@@ -241,34 +242,64 @@ def positivity_certificate(
     negative) and strictly improves averaging alpha and beta separately.
     The certificate is positive only if delta(C) > 0, and it needs no scan
     of the full period.
-
-    The base (classes of smooth part 1) is computed once over one D, the
-    lcm of every rough part, and each pattern resumes beta from it with its
-    extras: the rough classes of its other classes less the base ones,
-    merged as the subsystems merge them.  No subsystem is built.
     """
-    dec = decompose(system, Q, guard_m)
-    base_bits = sum(1 << i for i, (s, _) in enumerate(dec.splits) if s == 1)
+    return _certificate(decompose(system, Q, guard_m))
+
+
+def _certificate(dec: Decomposition) -> BoundCertificate:
+    """positivity_certificate of a decomposition, with no subsystem built.
+
+    Every pattern is the base (the rough classes of smooth part 1) plus its
+    extras: the rough classes of its other classes less the base ones,
+    merged as the subsystems merge them.  Over one D, the lcm of every
+    rough part, the base's alpha and pair mass are computed once, and so
+    is each distinct extra's share D/n, divisors and pair mass against the
+    base; a pattern runs the pair kernel over its extras alone, starting
+    each at that mass, and carries alpha as one integer ratio.
+    """
     rough = [(c.modulus, c.residue) for c in dec.rough]
-    base = {rough[i] for i in _set_bits(base_bits)}
+    base = {rough[i] for i, (s, _) in enumerate(dec.splits) if s == 1}
+    extra_id: dict[tuple[int, int], int] = {}
+    index_id = [None if p in base else extra_id.setdefault(p, len(extra_id)) for p in rough]
+    extra_bits = sum(1 << i for i, k in enumerate(index_id) if k is not None)
+    extra_mods = [n for n, _ in extra_id]
     base_mods = [n for n, _ in base]
     base_alpha = alpha(base_mods)
+    a_num, a_den = base_alpha.numerator, base_alpha.denominator
     D = lcm(*(n for _, n in dec.splits))
-    base_num, _, base_S, _ = _earlier_pair_mass(base_mods, D)
-    total = Fraction(0)
+    DD = D * D
+    divisors = [_squarefree_divisors(n) for n in extra_mods]
+    # an entry of share 0 reads its modulus's pair mass against the base
+    base_num, acc = _pair_kernel(
+        [(D // n, _squarefree_divisors(n), 0) for n in base_mods]
+        + [(0, divs, 0) for divs in divisors]
+    )
+    entries = [
+        (D // n, divs, cross)
+        for n, divs, cross in zip(extra_mods, divisors, acc[len(base_mods):])
+    ]
+    # the sum of count * term over the common denominator B_all * D^2: a
+    # pattern's alpha is A / B with B = a_den * the product of its extra
+    # moduli, and B_all, over every distinct extra modulus, is a multiple
+    # of each B
+    B_all = a_den * prod(extra_mods)
+    total = 0
     audit = []
     for g in dec.groups:
-        extra = [n for n, _ in {rough[i] for i in _set_bits(g.bits & ~base_bits)} - base]
-        a = base_alpha * alpha(extra)
-        b = beta(extra, (base_num, D, base_S))
-        term = max(Fraction(0), a - b)
-        total += g.count * term
+        ids = {index_id[i] for i in _set_bits(g.bits & extra_bits)}
+        num = base_num + _pair_kernel([entries[k] for k in ids])[0]
+        A = a_num * prod(extra_mods[k] - 1 for k in ids)
+        B = a_den * prod(extra_mods[k] for k in ids)
+        a, b = Fraction(A, B), Fraction(num, DD)
+        surplus = A * DD - num * B  # (a - b) * B * D^2
+        if surplus > 0:
+            total += g.count * surplus * (B_all // B)
         audit.append(
             {"h_count": g.count, "representative": g.representative,
-             "alpha": a, "beta": b, "term": term}
+             "alpha": a, "beta": b, "term": a - b if surplus > 0 else Fraction(0)}
         )
-    bound = total / dec.M
+    bound = Fraction(total, B_all * DD * dec.M)
     return BoundCertificate(
         "decomposed", bound,
-        {"Q": Q, "M": dec.M, "pattern_count": len(dec.groups), "per_pattern": audit},
+        {"Q": dec.Q, "M": dec.M, "pattern_count": len(dec.groups), "per_pattern": audit},
     )

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import coversieve as cs
-from coversieve.bounds import _earlier_pair_mass, _squarefree_divisors
+from coversieve.bounds import _pair_kernel, _squarefree_divisors
 
 from conftest import naive_membership, pair_sums, random_system
 
@@ -178,14 +178,22 @@ class TestPairKernelOracle:
             assert cert.lower_bound == cs.alpha(system) - refined
 
     def test_beta_resumed_from_a_base(self):
+        # the kernel as the certificate runs it: the base mods[:k] first,
+        # with share-0 entries reading each later modulus's mass against the
+        # base, then the later moduli alone, each started at that mass
         rnd = random.Random(79)
         for system in self.systems():
             mods = [c.modulus for c in system.classes]
             k = rnd.randint(0, len(mods))
-            num, D, S, _ = _earlier_pair_mass(mods[:k], math.lcm(*mods))
-            before = dict(S)
-            assert cs.beta(mods[k:], (num, D, S)) == pair_sums(mods)[0]
-            assert S == before
+            D = math.lcm(*mods)
+            divs = [_squarefree_divisors(n) for n in mods]
+            num, acc = _pair_kernel(
+                [(D // n, d, 0) for n, d in zip(mods[:k], divs)] + [(0, d, 0) for d in divs[k:]]
+            )
+            rest, _ = _pair_kernel(
+                [(D // n, d, a) for n, d, a in zip(mods[k:], divs[k:], acc[k:])]
+            )
+            assert Fraction(num + rest, D * D) == pair_sums(mods)[0]
 
     def test_alpha_is_running_product(self):
         for system in self.systems():
@@ -224,6 +232,10 @@ class TestPairKernelOracle:
         ([(2, 1), (6, 3), (10, 7), (14, 0), (12, 5), (30, 11)], 2),
         # only base classes, so M = 1 and one pattern
         ([(3, 1), (9, 4), (15, 2), (5, 0), (21, 20)], 2),
+        # extras sharing rough moduli with each other and with the base:
+        # (10, 3) and (20, 1) give (5, 3) and (5, 1) beside the base (5, 0),
+        # and (14, 5) gives (7, 5) beside the base (7, 2)
+        ([(5, 0), (10, 3), (20, 1), (7, 2), (14, 5)], 2),
     ])
     def test_certificate_edge_cases_against_naive_membership(self, pairs, Q):
         system = cs.ResidueSystem.from_pairs(pairs)

@@ -326,6 +326,17 @@ class TestFormatsAndErrors:
         assert run([]) == 1
         assert run(["density"]) == 1  # missing --input
 
+    def test_one_parser_per_process_keeps_no_state(self, capsys, opening_file):
+        assert build_parser() is build_parser()
+        argv = ["certify", "--input", opening_file, "--Q", "2", "--audit"]
+        first = invoke(capsys, *argv)
+        assert first[0] == 0
+        # a usage error and --version between two runs leave nothing behind
+        assert run(["density"]) == 1
+        assert run(["--version"]) == 0
+        capsys.readouterr()
+        assert invoke(capsys, *argv) == first
+
     def test_module_entrypoint(self, opening_file):
         proc = subprocess.run(
             [sys.executable, "-m", "coversieve", "density", "--input", opening_file],

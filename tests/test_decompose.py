@@ -293,6 +293,20 @@ class TestAveragedAlphaFloor:
         assert res.floor <= float(res.avg_alpha) + 1e-12
         assert res.holds
 
+    def test_decomposes_once_and_builds_no_subsystem(self, monkeypatch):
+        rnd = random.Random(7)
+        system = cs.ResidueSystem.from_pairs((n, rnd.randrange(n)) for n in range(101, 141))
+        # the per-pattern alpha comes from the certificate's loop over the
+        # one decomposition, which builds no subsystem
+        module = importlib.import_module("coversieve.decompose")
+        made = []
+        monkeypatch.setattr(module, "decompose", lambda *a: made.append(cs.decompose(*a)) or made[-1])
+        res = cs.averaged_alpha_floor(system, 3)
+        (dec,) = made
+        assert len(dec.groups) > 1 and all("subsystem" not in vars(g) for g in dec.groups)
+        direct = sum((g.count * cs.alpha(g.subsystem) for g in dec.groups), Fraction(0))
+        assert res.avg_alpha == direct / dec.M
+
     def test_smooth_cover_error(self):
         system = cs.ResidueSystem.from_pairs([(2, 0), (2, 1), (5, 2)])
         with pytest.raises(SmoothCoverError):
