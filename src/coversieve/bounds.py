@@ -101,13 +101,39 @@ def _pair_mass(mods: list[int]) -> tuple[int, int, list[int]]:
     return num, D, acc
 
 
-def beta(system: ResidueSystem) -> Fraction:
+def _pair_base(mods: list[int], D: int, later) -> tuple[int, int, dict]:
+    """(num, D, entries): the pair kernel over mods with shares D/n, for a
+    common multiple D of mods and later, and per distinct modulus n of later
+    its kernel entry (D/n, divisors, pair mass of n against mods), so that
+    beta(system, base) resumes the kernel after mods for any system whose
+    moduli are among later.
+    """
+    later = list(dict.fromkeys(later))
+    divisors = [_squarefree_divisors(n) for n in later]
+    # an entry of share 0 reads its modulus's pair mass against mods
+    num, acc = _pair_kernel(
+        [(D // n, _squarefree_divisors(n), 0) for n in mods] + [(0, d, 0) for d in divisors]
+    )
+    cross = acc[len(mods):]
+    return num, D, {n: (D // n, d, c) for n, d, c in zip(later, divisors, cross)}
+
+
+def beta(system: ResidueSystem, base: tuple[int, int, dict] | None = None) -> Fraction:
     """sum of 1/(n_i n_j) over index pairs i < j with gcd(n_i, n_j) > 1.
 
     Pairs are counted by multiset position, so repeated moduli contribute
-    (two equal moduli > 1 are never coprime).
+    (two equal moduli > 1 are never coprime).  base, from _pair_base over
+    other classes with every modulus of system among its later ones, puts
+    those classes first: the result is beta of them followed by system.
+    Only the pairs among system's own classes are walked, and base is left
+    unchanged, so one base serves many systems.
     """
-    num, D, _ = _pair_mass(_moduli_of(system))
+    mods = _moduli_of(system)
+    if base is None:
+        num, D, _ = _pair_mass(mods)
+    else:
+        num, D, entries = base
+        num += _pair_kernel([entries[n] for n in mods])[0]
     return Fraction(num, D * D)
 
 

@@ -19,9 +19,10 @@ built over [0, q) or [0, M), so memory grows with the classes, not with M.
 A group builds its subsystem only when it is read.  The classes whose
 smooth part is 1 admit every h and sit in every C_h, so
 positivity_certificate computes their alpha and pair mass once, as a base,
-and the pair mass of each other rough class against that base once; per
-pattern it runs the one pair kernel of bounds over only that pattern's
-extra classes, read from its bitset, and builds no subsystem.
+and the pair mass of each other rough modulus against that base once; each
+pattern's beta resumes from that base with only the pattern's extra
+classes, read from its bitset.  Neither the certificate nor
+averaged_alpha_floor builds a subsystem.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, inf, lcm, prod
 
-from .bounds import BoundCertificate, _pair_kernel, _squarefree_divisors, alpha
+from .bounds import BoundCertificate, _pair_base, alpha, beta
 from .core import GuardExceeded, ResidueClass, ResidueSystem, factorize, lcm_guarded, smooth_split
 from .density import _ball_groups, exact_density
 
@@ -224,13 +225,40 @@ def averaged_alpha_floor(
     d_smooth = exact_density(dec.smooth_subsystem).value
     if d_smooth == 0:
         raise SmoothCoverError("Q-smooth classes cover all integers")
+    _, _, patterns = _pattern_alphas(dec)
     avg = sum(
-        (p["h_count"] * p["alpha"] for p in _certificate(dec).components["per_pattern"]),
-        Fraction(0),
+        (g.count * Fraction(A, B) for g, (_, A, B) in zip(dec.groups, patterns)), Fraction(0)
     ) / dec.M
     exponent = (1 + 1 / Q) / float(d_smooth)
     floor = float(alpha(system)) ** exponent
     return AveragedAlpha(avg, floor, float(avg) >= floor - ALPHA_FLOOR_SLACK, d_smooth)
+
+
+def _pattern_alphas(dec: Decomposition) -> tuple[list[int], list[int], list[tuple]]:
+    """(base moduli, extra moduli, per group (its extra moduli, A, B)) with
+    alpha(C_h) = A / B, building no subsystem.
+
+    Every pattern is the base (the rough classes of smooth part 1) plus its
+    extras: the rough classes of its other classes less the base ones,
+    merged as the subsystems merge them.  Each distinct extra class is
+    found once, and a pattern reads its extras from its bitset; its alpha
+    is alpha(base) times prod (n - 1)/n over its extras, carried as one
+    integer ratio.
+    """
+    rough = [(c.modulus, c.residue) for c in dec.rough]
+    base = {rough[i] for i, (s, _) in enumerate(dec.splits) if s == 1}
+    extra_id: dict[tuple[int, int], int] = {}
+    index_id = [None if p in base else extra_id.setdefault(p, len(extra_id)) for p in rough]
+    extra_bits = sum(1 << i for i, k in enumerate(index_id) if k is not None)
+    extra_mods = [n for n, _ in extra_id]
+    base_mods = [n for n, _ in base]
+    base_alpha = alpha(base_mods)
+    a_num, a_den = base_alpha.numerator, base_alpha.denominator
+    patterns = []
+    for g in dec.groups:
+        mods = [extra_mods[k] for k in {index_id[i] for i in _set_bits(g.bits & extra_bits)}]
+        patterns.append((mods, a_num * prod(n - 1 for n in mods), a_den * prod(mods)))
+    return base_mods, extra_mods, patterns
 
 
 def positivity_certificate(
@@ -242,64 +270,31 @@ def positivity_certificate(
     negative) and strictly improves averaging alpha and beta separately.
     The certificate is positive only if delta(C) > 0, and it needs no scan
     of the full period.
+
+    Over one D, the lcm of every rough part, the base's pair mass is
+    computed once, and so is each distinct extra modulus's share D/n,
+    divisors and pair mass against the base; each pattern's beta resumes
+    from that base with only its extras.  No subsystem is built.
     """
-    return _certificate(decompose(system, Q, guard_m))
-
-
-def _certificate(dec: Decomposition) -> BoundCertificate:
-    """positivity_certificate of a decomposition, with no subsystem built.
-
-    Every pattern is the base (the rough classes of smooth part 1) plus its
-    extras: the rough classes of its other classes less the base ones,
-    merged as the subsystems merge them.  Over one D, the lcm of every
-    rough part, the base's alpha and pair mass are computed once, and so
-    is each distinct extra's share D/n, divisors and pair mass against the
-    base; a pattern runs the pair kernel over its extras alone, starting
-    each at that mass, and carries alpha as one integer ratio.
-    """
-    rough = [(c.modulus, c.residue) for c in dec.rough]
-    base = {rough[i] for i, (s, _) in enumerate(dec.splits) if s == 1}
-    extra_id: dict[tuple[int, int], int] = {}
-    index_id = [None if p in base else extra_id.setdefault(p, len(extra_id)) for p in rough]
-    extra_bits = sum(1 << i for i, k in enumerate(index_id) if k is not None)
-    extra_mods = [n for n, _ in extra_id]
-    base_mods = [n for n, _ in base]
-    base_alpha = alpha(base_mods)
-    a_num, a_den = base_alpha.numerator, base_alpha.denominator
-    D = lcm(*(n for _, n in dec.splits))
-    DD = D * D
-    divisors = [_squarefree_divisors(n) for n in extra_mods]
-    # an entry of share 0 reads its modulus's pair mass against the base
-    base_num, acc = _pair_kernel(
-        [(D // n, _squarefree_divisors(n), 0) for n in base_mods]
-        + [(0, divs, 0) for divs in divisors]
-    )
-    entries = [
-        (D // n, divs, cross)
-        for n, divs, cross in zip(extra_mods, divisors, acc[len(base_mods):])
-    ]
-    # the sum of count * term over the common denominator B_all * D^2: a
-    # pattern's alpha is A / B with B = a_den * the product of its extra
-    # moduli, and B_all, over every distinct extra modulus, is a multiple
-    # of each B
-    B_all = a_den * prod(extra_mods)
-    total = 0
+    dec = decompose(system, Q, guard_m)
+    base_mods, extra_mods, patterns = _pattern_alphas(dec)
+    base = _pair_base(base_mods, lcm(*(n for _, n in dec.splits)), extra_mods)
+    total = Fraction(0)
     audit = []
-    for g in dec.groups:
-        ids = {index_id[i] for i in _set_bits(g.bits & extra_bits)}
-        num = base_num + _pair_kernel([entries[k] for k in ids])[0]
-        A = a_num * prod(extra_mods[k] - 1 for k in ids)
-        B = a_den * prod(extra_mods[k] for k in ids)
-        a, b = Fraction(A, B), Fraction(num, DD)
-        surplus = A * DD - num * B  # (a - b) * B * D^2
-        if surplus > 0:
-            total += g.count * surplus * (B_all // B)
+    for g, (mods, A, B) in zip(dec.groups, patterns):
+        a, b = Fraction(A, B), beta(mods, base)
+        # alpha <= beta, compared as integers, clips the term to 0
+        if A * b.denominator > b.numerator * B:
+            term = a - b
+            total += g.count * term
+        else:
+            term = Fraction(0)
         audit.append(
             {"h_count": g.count, "representative": g.representative,
-             "alpha": a, "beta": b, "term": a - b if surplus > 0 else Fraction(0)}
+             "alpha": a, "beta": b, "term": term}
         )
-    bound = Fraction(total, B_all * DD * dec.M)
+    bound = total / dec.M
     return BoundCertificate(
         "decomposed", bound,
-        {"Q": dec.Q, "M": dec.M, "pattern_count": len(dec.groups), "per_pattern": audit},
+        {"Q": Q, "M": dec.M, "pattern_count": len(dec.groups), "per_pattern": audit},
     )

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import coversieve as cs
-from coversieve.bounds import _pair_kernel, _squarefree_divisors
+from coversieve.bounds import _pair_base, _squarefree_divisors
 
 from conftest import naive_membership, pair_sums, random_system
 
@@ -178,22 +178,16 @@ class TestPairKernelOracle:
             assert cert.lower_bound == cs.alpha(system) - refined
 
     def test_beta_resumed_from_a_base(self):
-        # the kernel as the certificate runs it: the base mods[:k] first,
-        # with share-0 entries reading each later modulus's mass against the
-        # base, then the later moduli alone, each started at that mass
+        # one base serves several systems, as the certificate's patterns
         rnd = random.Random(79)
         for system in self.systems():
             mods = [c.modulus for c in system.classes]
             k = rnd.randint(0, len(mods))
-            D = math.lcm(*mods)
-            divs = [_squarefree_divisors(n) for n in mods]
-            num, acc = _pair_kernel(
-                [(D // n, d, 0) for n, d in zip(mods[:k], divs)] + [(0, d, 0) for d in divs[k:]]
-            )
-            rest, _ = _pair_kernel(
-                [(D // n, d, a) for n, d, a in zip(mods[k:], divs[k:], acc[k:])]
-            )
-            assert Fraction(num + rest, D * D) == pair_sums(mods)[0]
+            base = _pair_base(mods[:k], math.lcm(*mods), mods[k:])
+            before = (base[0], base[1], dict(base[2]))
+            for rest in (mods[k:], rnd.sample(mods[k:], rnd.randint(0, len(mods) - k))):
+                assert cs.beta(rest, base) == pair_sums(mods[:k] + rest)[0]
+            assert base == before
 
     def test_alpha_is_running_product(self):
         for system in self.systems():

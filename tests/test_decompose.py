@@ -296,11 +296,13 @@ class TestAveragedAlphaFloor:
     def test_decomposes_once_and_builds_no_subsystem(self, monkeypatch):
         rnd = random.Random(7)
         system = cs.ResidueSystem.from_pairs((n, rnd.randrange(n)) for n in range(101, 141))
-        # the per-pattern alpha comes from the certificate's loop over the
-        # one decomposition, which builds no subsystem
+        # the per-pattern alpha comes from the certificate's patterns over
+        # the one decomposition, with no subsystem built and no beta run
         module = importlib.import_module("coversieve.decompose")
         made = []
         monkeypatch.setattr(module, "decompose", lambda *a: made.append(cs.decompose(*a)) or made[-1])
+        for name in ("beta", "_pair_base", "positivity_certificate"):
+            monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
         res = cs.averaged_alpha_floor(system, 3)
         (dec,) = made
         assert len(dec.groups) > 1 and all("subsystem" not in vars(g) for g in dec.groups)
