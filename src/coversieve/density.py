@@ -217,6 +217,25 @@ def _ball_groups(pinned, q: int, p: int) -> list[tuple[int, list, int]]:
     return groups
 
 
+def _components(pairs) -> list[tuple[int, list]]:
+    """The components of the shares-a-prime graph on the moduli of the
+    classes (n, r) in pairs, as (period, members): the lcm of the moduli
+    and the classes, a new class first, then those of the components it
+    joins.  A class joins each component whose period shares a prime with
+    its modulus and goes last; the others keep their order."""
+    components: list[tuple[int, list]] = []
+    for n, r in pairs:
+        period, members, apart = n, [(n, r)], []
+        for comp in components:
+            if gcd(comp[0], n) > 1:
+                period = lcm(period, comp[0])
+                members += comp[1]
+            else:
+                apart.append(comp)
+        components = apart + [(period, members)]
+    return components
+
+
 def _split_density(pairs, budget: int) -> Fraction:
     """Exact delta of the classes (n, r) in pairs, without a full-period scan.
 
@@ -231,11 +250,11 @@ def _split_density(pairs, budget: int) -> Fraction:
     Every (sub)system is first canonicalized: residues reduced, duplicates
     and classes lying inside another class dropped, so that a modulus 1
     gives 0 and the empty system 1.  Its density is the product over the
-    components of the shares-a-prime graph on its moduli.  A one-class
-    component has density 1 - 1/n; a component whose period is at most
-    SCAN_LEAF cells is scanned; any other is split on a prime dividing the
-    most of its moduli, with q its largest power there.  Equal components
-    are solved once.
+    components of the shares-a-prime graph on its moduli
+    (``_components``).  A one-class component has density 1 - 1/n; a
+    component whose period is at most SCAN_LEAF cells is scanned; any
+    other is split on a prime dividing the most of its moduli, with q its
+    largest power there.  Equal components are solved once.
 
     The work is k^2 units per (sub)system of k classes canonicalized, plus
     the cells of each scan and balls * classes per split.  GuardExceeded is
@@ -265,19 +284,8 @@ def _split_density(pairs, budget: int) -> Fraction:
                 return Fraction(0)
             if not any(n % m == 0 and r % m == s for m, s in kept):
                 kept.append((n, r))
-        components: list[tuple[int, list]] = []  # (period, classes)
-        for n, r in kept:
-            period, members, apart = n, [(n, r)], []
-            for comp in components:
-                if gcd(comp[0], n) > 1:
-                    period = lcm(period, comp[0])
-                    members += comp[1]
-                else:
-                    apart.append(comp)
-            components = apart + [(period, members)]
-
         value = Fraction(1)
-        for period, members in components:
+        for period, members in _components(kept):
             key = tuple(sorted(members))
             part = memo.get(key)
             if part is None:

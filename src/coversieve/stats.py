@@ -18,8 +18,14 @@ from math import lcm, prod
 import numpy as np
 
 from .bounds import alpha
-from .core import GuardExceeded, ModuliSet
-from .density import DEFAULT_CELL_GUARD, _class_masks, _residue_walk, _split_density
+from .core import GuardExceeded, ModuliSet, lcm_guarded
+from .density import (
+    DEFAULT_CELL_GUARD,
+    _class_masks,
+    _components,
+    _residue_walk,
+    _split_density,
+)
 
 DEFAULT_W_GUARD = 10**6
 
@@ -125,12 +131,18 @@ def sample_moments(
     """Seeded Monte Carlo estimate of the moments, with exact per-sample deltas.
 
     Trial t derives its generator from (seed, t), so any execution order
-    (or a parallel run) produces bit-identical results.  A trial ORs shifted
-    class masks while lcm(T) fits min(``density_guard``, 2*10^5) bits, and
-    past that is solved by the split engine with ``density_guard`` as its
-    work budget.  Running sums stay rational; only the final standard error
-    is floating.  A trial draws its residues in one numpy call, which takes
-    moduli up to 2^63; a larger modulus is refused with a ValueError.
+    (or a parallel run) produces bit-identical results.  While L = lcm(T)
+    fits min(``density_guard``, 2*10^5) bits, a trial's uncovered count
+    over L is the product over the components of the shares-a-prime graph
+    on T, found once by ``_components``: a one-class component of modulus
+    n contributes n - 1 (its density (n - 1)/n, and 0 for n = 1), and any
+    other ORs its shifted class masks, built once per component over the
+    component's own lcm.  Past that bound, each trial is solved by the
+    split engine with ``density_guard`` as its work budget.  Trials add
+    integer counts over L and their squares; the moments are fractions
+    built once at the end, and only the standard error is floating.  A
+    trial draws its residues in one numpy call, which takes moduli up to
+    2^63; a larger modulus is refused with a ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -138,37 +150,46 @@ def sample_moments(
     if max(mods, default=0) > 2**63:
         raise ValueError(f"sample mode draws residues of moduli up to 2^63, not {max(mods)}")
     bounds = np.array(mods, dtype=np.uint64)
-    use_masks = True
     try:
-        L, masks = _class_masks(mods, min(density_guard, 2 * 10**5))
+        L = lcm_guarded(mods, min(density_guard, 2 * 10**5))
     except GuardExceeded:
-        use_masks = False
+        L, parts = lcm_guarded(mods), None
+    else:
+        # (period, [(mask, index into mods)]) per component of two or more classes
+        const, parts = 1, []
+        for period, members in _components((n, i) for i, n in enumerate(mods)):
+            if len(members) == 1:
+                const *= period - 1
+            else:
+                _, masks = _class_masks([n for n, _ in members], None)
+                parts.append((period, [(masks[n], i) for n, i in members]))
 
-    total = Fraction(0)
-    total_sq = Fraction(0)
+    total = total_sq = 0
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         residues = rng.integers(0, bounds).tolist()
-        if use_masks:
-            covered = 0
-            for n, r in zip(mods, residues):
-                covered |= masks[n] << r
-            d = Fraction(L - covered.bit_count(), L)
-        else:
+        if parts is None:
             d = _split_density(list(zip(mods, residues)), density_guard)
-        total += d
-        total_sq += d * d
+            count = d.numerator * (L // d.denominator)
+        else:
+            count = const
+            for period, members in parts:
+                covered = 0
+                for mask, i in members:
+                    covered |= mask << residues[i]
+                count *= period - covered.bit_count()
+        total += count
+        total_sq += count * count
 
-    mean = total / trials
     if trials >= 2:
-        variance = (total_sq - trials * mean * mean) / (trials - 1)
+        variance = Fraction(trials * total_sq - total * total, trials * (trials - 1) * L * L)
         std_error = math.sqrt(float(variance) / trials)
     else:
         variance = Fraction(0)
         std_error = None
     return MomentReport(
-        mean, total_sq / trials, variance, "monte-carlo",
-        sample_count=trials, std_error=std_error,
+        Fraction(total, trials * L), Fraction(total_sq, trials * L * L), variance,
+        "monte-carlo", sample_count=trials, std_error=std_error,
     )
 
 

@@ -180,6 +180,48 @@ def naive_ball_groups(pinned, q: int) -> list[tuple[int, list, int]]:
     return [tuple(group) for group in groups.values()]
 
 
+def inline_components(pairs) -> list[tuple[int, list]]:
+    """(period, members) per component of the shares-a-prime graph on the
+    moduli of pairs, by the loop the split engine ran inline before
+    density._components took it over; the reference for that helper, down
+    to the order of the components and of their members."""
+    components: list[tuple[int, list]] = []  # (period, classes)
+    for n, r in pairs:
+        period, members, apart = n, [(n, r)], []
+        for comp in components:
+            if gcd(comp[0], n) > 1:
+                period = lcm(period, comp[0])
+                members += comp[1]
+            else:
+                apart.append(comp)
+        components = apart + [(period, members)]
+    return components
+
+
+def trialwise_moments(mods: list[int], trials: int, seed: int, guard: int):
+    """(mean, second moment, variance) of sample_moments by recomputing
+    every trial: trial t draws one integers(0, n) per modulus from
+    default_rng([seed, t]), its delta is naive_density, and the variance
+    is the sum of squared deviations over trials - 1 (0 for one trial).
+    Past the mask period min(guard, 2*10^5), a trial's system is also
+    solved by exact_density with guard, so a budget the split engine
+    runs out of raises GuardExceeded here too; the reference for
+    sample_moments."""
+    engine = lcm(*mods) > min(guard, 2 * 10**5)
+    deltas = []
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        system = cs.ResidueSystem.from_pairs((n, int(rng.integers(0, n))) for n in mods)
+        if engine:
+            density.exact_density(system, guard)
+        deltas.append(naive_density(system))
+    mean = sum(deltas, Fraction(0)) / trials
+    second = sum((d * d for d in deltas), Fraction(0)) / trials
+    if trials < 2:
+        return mean, second, Fraction(0)
+    return mean, second, sum(((d - mean) ** 2 for d in deltas), Fraction(0)) / (trials - 1)
+
+
 def _dominated_pruned(moduli: list[int]) -> list[int]:
     """Drop any modulus that is a multiple of another (its multiples are a subset)."""
     out = []

@@ -444,6 +444,17 @@ class TestReportBytes:
         # a 73,513,440-cell period sieved in one pass: count and least witness
         (("density", "--input", "divisors.json"),
          "99932c6e24b16d285f27e44babbf55a2dfe5261c2884820d6609b0119a157dc1"),
+        # sampled moments, recorded before the masks were built per
+        # shares-a-prime component: the bench job's shape, a repeated
+        # modulus with coprime singletons, and a modulus 1
+        (("stats", "--moduli", "3,4,5,6,7,8,9,10,11,12", "--mode", "sample",
+          "--trials", "3000", "--seed", "1"),
+         "b4d322d022769cd8ffe811bf3f584cc59128358dda00442eb6d145e9c7539ff8"),
+        (("stats", "--moduli", "4,4,6,7,9,11", "--mode", "sample", "--trials", "500",
+          "--seed", "3"),
+         "41e9768f5c28c4fa2e0a66df495ca34ecbeaef0f27939fece383a4f042310b0b"),
+        (("stats", "--moduli", "1,3,4,4,6,9", "--mode", "sample", "--trials", "20"),
+         "6760970eb3b47b85bd32331595dbe650aa5f679e25cc0c947c5d93a0936c3d4f"),
     ])
     def test_stdout_digest(self, capsys, monkeypatch, tmp_path, argv, digest):
         # the report echoes the input path, so it is given relative to tmp_path

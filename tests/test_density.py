@@ -18,6 +18,7 @@ from conftest import (
     enumerate_residue_choices,
     exact_cover_exists,
     full_walk_delta_minus,
+    inline_components,
     naive_ball_groups,
     naive_density,
     naive_greedy_peel,
@@ -427,6 +428,26 @@ class TestSplitDensity:
         # (2^19 * 3 | y already implies 3 | y)
         none_odd = prod(Fraction(p - 1, p) for p in odd)
         assert cs.delta_plus(cs.ModuliSet.from_iterable(mods)) == (1 + none_odd) / 2
+
+    def test_components_match_the_inline_loop(self):
+        # the engine reads its canonical classes, the sampler its moduli
+        # tagged by position; both get the components in the same order
+        rnd = random.Random(29)
+        for _ in range(300):
+            pairs = random_system(rnd, max_classes=10, allow_unit=True).pairs()
+            tagged = [(n, i) for i, (n, _) in enumerate(pairs)]
+            for case in (pairs, sorted(set(pairs)), tagged):
+                assert density._components(case) == inline_components(case)
+        assert density._components([]) == []
+        # 1 shares no prime with anything, itself included
+        assert density._components([(1, 0), (1, 0), (7, 3)]) == [
+            (1, [(1, 0)]), (1, [(1, 0)]), (7, [(7, 3)])
+        ]
+        # 15 joins {9}, then 10 joins {4} and {15, 9}; a joined component
+        # goes last with the new class first
+        assert density._components([(4, 1), (7, 0), (9, 2), (15, 4), (10, 5)]) == [
+            (7, [(7, 0)]), (180, [(10, 5), (4, 1), (15, 4), (9, 2)])
+        ]
 
 
 def _small_multisets():

@@ -6,14 +6,15 @@ from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import coversieve as cs
 from coversieve import density, stats
 from coversieve.core import GuardExceeded
 
 from conftest import (
-    enumerate_residue_choices, naive_density, naive_moments, record_walks, walk_pair_second_moment,
-    walk_widths,
+    divisors_of, enumerate_residue_choices, naive_density, naive_moments, record_walks,
+    trialwise_moments, walk_pair_second_moment, walk_widths,
 )
 
 
@@ -212,6 +213,18 @@ class TestMomentsOracle:
             done += 1
 
 
+def _sample_multisets():
+    """Small moduli lists for sample_moments, each lcm at most 3465: divisors
+    of one period with repeats and 1s, pairwise coprime sets, and even
+    moduli that form one component."""
+    divisors = st.sampled_from([360, 420, 840, 1260, 2520]).flatmap(
+        lambda L: st.lists(st.sampled_from(divisors_of(L)), min_size=1, max_size=6)
+    )
+    coprime = st.lists(st.sampled_from([4, 5, 7, 9, 11]), min_size=1, max_size=4, unique=True)
+    one_component = st.lists(st.sampled_from([2, 4, 6, 8, 10, 12, 14, 18]), min_size=2, max_size=6)
+    return divisors | coprime | one_component
+
+
 class TestSampleMoments:
     def test_2_4_within_five_se(self):
         rep = cs.sample_moments(M(2, 4), 10**4, seed=1)
@@ -282,18 +295,44 @@ class TestSampleMoments:
             assert scanned and max(scanned) < lcm(*mods)
 
     def test_builds_one_mask_per_modulus(self, monkeypatch):
-        tables = []
+        # one table per component of two or more classes, over that
+        # component's lcm: {3, 9} over 9 and {4, 4, 10, 25} over 100; the
+        # singletons 1, 7 and 11 build none, nor does the period 69,300
+        calls = []
         build = stats._class_masks
 
-        def spy(*args):
-            tables.append(build(*args))
-            return tables[-1]
+        def spy(moduli, guard):
+            calls.append((sorted(moduli), build(moduli, guard)))
+            return calls[-1][1]
 
         monkeypatch.setattr(stats, "_class_masks", spy)
-        cs.sample_moments(M(1, 3, 4, 4, 6, 9), 20)
-        L, masks = tables[0]
-        assert sorted(masks) == [1, 3, 4, 6, 9]
-        assert all(isinstance(mask, int) and mask.bit_length() <= L for mask in masks.values())
+        cs.sample_moments(M(1, 3, 4, 4, 7, 9, 10, 11, 25), 20)
+        assert sorted(moduli for moduli, _ in calls) == [[3, 9], [4, 4, 10, 25]]
+        for moduli, (L, masks) in calls:
+            assert L == lcm(*moduli)
+            assert sorted(masks) == sorted(set(moduli))
+            assert all(mask == sum(1 << x for x in range(0, L, n)) for n, mask in masks.items())
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(mods=_sample_multisets(), trials=st.sampled_from([1, 2, 7]),
+           seed=st.integers(0, 3), guard=st.sampled_from([10**9, 1000, 50, 1]))
+    # masks: repeats, 1s and coprime parts
+    @example(mods=[1, 1, 4, 4, 9, 9, 5, 7], trials=7, seed=0, guard=10**9)
+    # lcm 1848 past the guard: the engine scans {8, 12, 12} over 24
+    @example(mods=[8, 12, 12, 7, 11], trials=7, seed=0, guard=1000)
+    # refused: the engine cannot read 3 classes, nor scan one period-2520 component
+    @example(mods=[3, 4, 5], trials=7, seed=0, guard=1)
+    @example(mods=[2, 4, 6, 8, 10, 12, 14, 18], trials=7, seed=0, guard=1000)
+    def test_matches_trialwise_oracle(self, mods, trials, seed, guard):
+        T = M(*mods)
+        try:
+            expected = trialwise_moments(list(T.moduli), trials, seed, guard)
+        except GuardExceeded:
+            with pytest.raises(GuardExceeded):
+                cs.sample_moments(T, trials, seed, guard)
+            return
+        rep = cs.sample_moments(T, trials, seed, guard)
+        assert (rep.mean, rep.second_moment, rep.variance) == expected
 
     def test_draws_match_one_draw_per_modulus_up_to_2_63(self):
         # one vector draw per trial gives the draws of one integers(0, n)
