@@ -40,7 +40,7 @@ class BoundCertificate:
 
 def _moduli_of(obj) -> list[int]:
     if isinstance(obj, ResidueSystem):
-        return [c.modulus for c in obj.classes]
+        return list(obj.moduli)
     if isinstance(obj, ModuliSet):
         return list(obj.moduli)
     return list(obj)
@@ -152,10 +152,7 @@ def pair_correction_bound(
     refined certificate also records alpha and beta, so one call yields
     both bounds.
     """
-    classes = list(system.classes)
-    if sort_desc:
-        classes.sort(key=lambda c: (-c.modulus, c.residue))
-    mods = [c.modulus for c in classes]
+    mods = sorted(system.moduli, reverse=True) if sort_desc else list(system.moduli)
     a = alpha(mods)
     num, D, acc = _pair_mass(mods)
     plain_sub = Fraction(num, D * D)

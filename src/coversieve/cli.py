@@ -80,11 +80,12 @@ def _default(obj):
 
 
 # json.dumps(obj, sort_keys=True, indent=2) runs CPython's pure-Python
-# encoder, because the C encoder cannot indent, and the 5 MB report of
-# construct-exact --J 4 spends most of its time there.  _dumps gives the
-# same bytes but hands the arrays of numbers that make up the bulk of a
-# report (system classes, block bounds, primes) to the C encoder in
-# compact form and re-indents the result with str.replace.
+# encoder, because the C encoder cannot indent.  _dumps gives the same
+# bytes faster.  A residue system, the bulk of the 5 MB report of
+# construct-exact --J 4, is written from its columns: one str.join over
+# the residues of each run of equal moduli.  Flat arrays of numbers (block
+# bounds, primes) go to the C encoder in compact form and are re-indented
+# with str.replace.
 _COMPACT = json.JSONEncoder(separators=(",", ":"), default=_default)
 
 
@@ -100,8 +101,8 @@ def _write(obj, nl: str, out: list[str]) -> None:
     """Append obj laid out at the depth whose line break is nl."""
     inner = nl + "  "
     if isinstance(obj, ResidueSystem):
-        obj = _default(obj)
-    if isinstance(obj, dict):
+        _write_system(obj, nl, out)
+    elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
@@ -117,20 +118,10 @@ def _write(obj, nl: str, out: list[str]) -> None:
             out.append("[]")
             return
         flat = _COMPACT.encode(obj)
-        if '"' not in flat and "{" not in flat:  # numbers, bools, nulls, arrays
-            if flat.count("[") == 1:  # [1,2]
-                out.append(f"[{inner}{flat[1:-1].replace(',', ',' + inner)}{nl}]")
-                return
-            # [[1,2],[3]]: every item a non-empty array of scalars.  The
-            # counts reject [[[65]],null] and [[1,2],3]; "[]" rejects [[]]
-            if (flat.count("[") == len(obj) + 1 and flat.startswith("[[")
-                    and flat.count("],[") == len(obj) - 1 and "[]" not in flat):
-                deeper = inner + "  "
-                rows = (flat[1:-1].replace(",", "," + deeper)
-                        .replace("]," + deeper + "[", "]," + inner + "[")
-                        .replace("[", "[" + deeper).replace("]", inner + "]"))
-                out.append(f"[{inner}{rows}{nl}]")
-                return
+        # [1,2]: numbers, bools and nulls only
+        if '"' not in flat and "{" not in flat and flat.count("[") == 1:
+            out.append(f"[{inner}{flat[1:-1].replace(',', ',' + inner)}{nl}]")
+            return
         sep = "["
         for item in obj:
             out.append(sep + inner)
@@ -139,6 +130,21 @@ def _write(obj, nl: str, out: list[str]) -> None:
         out.append(nl + "]")
     else:
         out.append(_COMPACT.encode(obj))
+
+
+def _write_system(system: ResidueSystem, nl: str, out: list[str]) -> None:
+    """Append {"classes": [[n, r], ...]} laid out at the depth of nl."""
+    inner = nl + "  "
+    if not len(system):
+        out.append(f'{{{inner}"classes": []{nl}}}')
+        return
+    row, cell = inner + "  ", inner + "    "
+    residues = system.residues
+    runs = []
+    for n, start, stop in system.runs():
+        head, tail = f"{row}[{cell}{n},{cell}", f"{row}]"
+        runs.append(head + f"{tail},{head}".join(map(str, residues[start:stop])) + tail)
+    out.append(f'{{{inner}"classes": [{",".join(runs)}{inner}]{nl}}}')
 
 
 _TEXT_LINE = re.compile(r"^\s*(-?\d+)\s+mod\s+(\d+)\s*$")
@@ -372,7 +378,7 @@ def _construct_exact(args, _):
         "result": {
             "J": plan.depth, "block_bounds": list(plan.block_bounds),
             "min_modulus_bound": plan.min_modulus_bound, "class_count": len(plan.system),
-            "min_modulus": min(c.modulus for c in plan.system),
+            "min_modulus": min(plan.system.moduli),
             "multiplicity": plan.system.multiplicity(),
             "multiplicity_bound": plan.multiplicity_bound,
             "verified": bool(check), "reciprocal_sum": check.reciprocal_sum,

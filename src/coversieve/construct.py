@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -225,36 +226,41 @@ def exact_cover_construct(J: int, minimal_schedule: bool = False) -> ExactCoverP
     if J > EXACT_COVER_MAX_J:
         raise GuardExceeded(f"J = {J} exceeds ceiling {EXACT_COVER_MAX_J}", estimate=J)
     xs = minimal_block_schedule(J) if minimal_schedule else [_block_bound(j) for j in range(J + 1)]
-    blocks = [tuple(primes_in(xs[j - 1], xs[j])) for j in range(1, J + 1)]
+    prime_blocks = [tuple(primes_in(xs[j - 1], xs[j])) for j in range(1, J + 1)]
 
-    pairs: list[tuple[int, int]] = [(2, 0), (2, 1)]
+    # (modulus, residues) blocks of the current level, in class order; the
+    # residues are int64 arrays, exact since every J <= 4 modulus is below
+    # 2^63 (the largest is 3 * 23 * 251 * 3121)
+    blocks: list[tuple[int, np.ndarray]] = [(2, np.arange(2))]
     for level in range(2, J + 1):
         x = xs[level]
-        primes_here = blocks[level - 1]
-        by_mod: dict[int, list[int]] = {}
-        for n, r in pairs:
-            by_mod.setdefault(n, []).append(r)
-        new_pairs: list[tuple[int, int]] = []
+        primes_here = prime_blocks[level - 1]
+        by_mod: dict[int, list[np.ndarray]] = {}
+        for n, res in blocks:
+            by_mod.setdefault(n, []).append(res)
+        new_blocks: list[tuple[int, np.ndarray]] = []
         for n in sorted(by_mod):
-            residues = sorted(by_mod[n])
+            residues = np.sort(np.concatenate(by_mod[n]))
             at = 0
             for q in primes_here:
                 if at >= len(residues):
                     break
                 take = min(x // q, len(residues) - at)
-                for r in residues[at : at + take]:
-                    new_pairs.extend((n * q, r + n * mu) for mu in range(q))
+                # row k holds the q classes (nq, r_k + n*mu), mu < q, that split r_k
+                new_blocks.append((n * q, (residues[at : at + take, None] + n * np.arange(q)).ravel()))
                 at += take
             if at < len(residues):
                 raise RuntimeError(
                     f"prime block exhausted at level {level}"
                 )  # impossible while the supply inequality holds
-        pairs = new_pairs
+        blocks = new_blocks
 
     floor = math.prod(xs[:J])
-    return ExactCoverPlan(
-        J, tuple(xs), tuple(blocks), floor, xs[J], ResidueSystem.from_pairs(pairs)
+    system = ResidueSystem.from_columns(
+        chain.from_iterable(repeat(n, len(res)) for n, res in blocks),
+        np.concatenate([res for _, res in blocks]).tolist(),
     )
+    return ExactCoverPlan(J, tuple(xs), tuple(prime_blocks), floor, xs[J], system)
 
 
 @dataclass(frozen=True)
@@ -327,22 +333,22 @@ def extend_witness(system: ResidueSystem, B: int, s: int) -> int:
     before being returned.  a is the least uncovered cell of one sieve of
     lcm(S(C_0)), refused past DEFAULT_CELL_GUARD cells.
     """
-    for c in system.classes:
-        if not (1 < c.modulus <= B):
-            raise ValueError(f"modulus {c.modulus} outside (1, {B}]")
+    for n in system.moduli:
+        if not (1 < n <= B):
+            raise ValueError(f"modulus {n} outside (1, {B}]")
     if system.multiplicity() > s:
         raise ValueError(f"multiplicity exceeds {s}")
 
     cut = math.sqrt(s * B)
     smooth_pairs = []
     rough_primes: dict[int, list[int]] = {}
-    for c in system.classes:
-        fac = factorize(c.modulus)
+    for n, r in system.pairs():
+        fac = factorize(n)
         if fac.largest_prime() <= cut:
-            smooth_pairs.append((c.modulus, c.residue))
+            smooth_pairs.append((n, r))
         for p, _ in fac.pairs:
             if p > cut:
-                rough_primes.setdefault(p, []).append(c.residue % p)
+                rough_primes.setdefault(p, []).append(r % p)
 
     L = lcm_guarded((n for n, _ in smooth_pairs), DEFAULT_CELL_GUARD)
     _, a = _scan(smooth_pairs, L)
@@ -361,7 +367,7 @@ def extend_witness(system: ResidueSystem, B: int, s: int) -> int:
         congruences.append((p, b))
 
     A = crt_coprime(congruences)
-    for c in system.classes:
-        if A % c.modulus == c.residue:
+    for n, r in system.pairs():
+        if A % n == r:
             raise RuntimeError("extension failed verification")  # must never happen
     return A

@@ -9,9 +9,10 @@ no float ever enters an exact result.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+import operator
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -43,10 +44,9 @@ class ResidueClass:
     """One congruence class ``residue (mod modulus)``, stored canonically.
 
     The residue is always reduced into ``[0, modulus)`` so that equal
-    classes compare equal.  Constructions build classes by the hundred
-    thousand (91,344 for ``exact_cover_construct(4)``), so the class keeps
-    its two fields in slots instead of a per-instance ``__dict__``: each
-    class takes less memory and is built faster.
+    classes compare equal.  A ResidueSystem holds its classes as columns of
+    ints and builds these objects only when its ``classes`` are read, or
+    when a check names a failing pair; the two fields sit in slots.
     """
 
     modulus: int
@@ -61,45 +61,116 @@ class ResidueClass:
         return f"{self.residue} (mod {self.modulus})"
 
 
-@dataclass(frozen=True)
 class ResidueSystem:
-    """A finite ordered multiset of residue classes.
+    """A finite ordered multiset of residue classes, stored as two columns.
 
-    Repeated moduli and repeated identical pairs are both allowed, and the
-    stored order matters: the refined pair-correction bound depends on it.
+    Class i is ``residues[i] (mod moduli[i])``, the residue reduced into
+    ``[0, moduli[i])``.  Repeated moduli and repeated identical pairs are
+    both allowed, and the stored order matters: the refined pair-correction
+    bound depends on it.  Constructions hold about 1e5 classes over a few
+    dozen moduli (91,344 over 32 for ``exact_cover_construct(4)``), so the
+    whole-system operations read the two tuples of ints, and ``classes``
+    builds its ResidueClass tuple on first read.  Systems are immutable.
     """
 
-    classes: tuple[ResidueClass, ...]
+    __slots__ = ("moduli", "residues", "_classes", "_runs")
+
+    def __init__(self, classes: Iterable[ResidueClass]):
+        classes = tuple(classes)
+        self._set(tuple(c.modulus for c in classes), tuple(c.residue for c in classes), classes)
+
+    @classmethod
+    def from_columns(cls, moduli: Iterable[int], residues: Iterable[int]) -> "ResidueSystem":
+        """The classes residues[i] (mod moduli[i]), validated and reduced once."""
+        moduli, residues = tuple(moduli), tuple(residues)
+        if len(moduli) != len(residues):
+            raise ValueError(f"{len(moduli)} moduli but {len(residues)} residues")
+        if moduli and min(moduli) < 1:
+            bad = next(n for n in moduli if n < 1)
+            raise ValueError(f"modulus must be >= 1, got {bad}")
+        system = object.__new__(cls)
+        system._set(moduli, tuple(map(operator.mod, residues, moduli)), None)
+        return system
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "ResidueSystem":
-        return cls(tuple(ResidueClass(n, r) for n, r in pairs))
+        pairs = list(pairs)
+        return cls.from_columns([n for n, _ in pairs], [r for _, r in pairs])
+
+    def _set(self, moduli, residues, classes) -> None:
+        object.__setattr__(self, "moduli", moduli)
+        object.__setattr__(self, "residues", residues)
+        object.__setattr__(self, "_classes", classes)
+        object.__setattr__(self, "_runs", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self).from_columns, (self.moduli, self.residues)
+
+    @property
+    def classes(self) -> tuple[ResidueClass, ...]:
+        """The classes as ResidueClass objects, built on first read."""
+        if self._classes is None:
+            object.__setattr__(self, "_classes", tuple(map(ResidueClass, self.moduli, self.residues)))
+        return self._classes
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [(c.modulus, c.residue) for c in self.classes]
+        return list(zip(self.moduli, self.residues))
+
+    def runs(self) -> tuple[tuple[int, int, int], ...]:
+        """(modulus, start, stop) of each maximal run of equal adjacent
+        moduli, in order: the classes start..stop-1 share that modulus."""
+        if self._runs is None:
+            runs, at = [], 0
+            for n, run in groupby(self.moduli):
+                k = len(list(run))
+                runs.append((n, at, at + k))
+                at += k
+            object.__setattr__(self, "_runs", tuple(runs))
+        return self._runs
+
+    def _counts(self) -> dict[int, int]:
+        """Classes per distinct modulus, in order of first appearance."""
+        counts: dict[int, int] = {}
+        for n, start, stop in self.runs():
+            counts[n] = counts.get(n, 0) + stop - start
+        return counts
 
     def multiplicity(self) -> int:
         """Largest number of classes sharing one modulus (0 if empty)."""
-        counts: dict[int, int] = {}
-        for c in self.classes:
-            counts[c.modulus] = counts.get(c.modulus, 0) + 1
-        return max(counts.values(), default=0)
+        return max(self._counts().values(), default=0)
 
     def reciprocal_sum(self) -> Fraction:
         """sum of 1/n over the classes, as integers over the lcm D of the
         distinct moduli: sum of count_n * (D / n), one Fraction at the end."""
-        counts = Counter(c.modulus for c in self.classes)
+        counts = self._counts()
         D = lcm(*counts)
         return Fraction(sum(k * (D // n) for n, k in counts.items()), D)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.moduli == other.moduli and self.residues == other.residues
+
+    def __hash__(self):
+        return hash((self.moduli, self.residues))
+
     def __len__(self):
-        return len(self.classes)
+        return len(self.moduli)
 
     def __iter__(self) -> Iterator[ResidueClass]:
         return iter(self.classes)
 
+    def __repr__(self):
+        return f"{type(self).__name__}(classes={self.classes!r})"
+
     def __str__(self):
-        return "{" + ", ".join(f"({c.modulus},{c.residue})" for c in self.classes) + "}"
+        return "{" + ", ".join(f"({n},{r})" for n, r in zip(self.moduli, self.residues)) + "}"
 
 
 @dataclass(frozen=True)

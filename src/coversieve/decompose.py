@@ -131,7 +131,7 @@ def decompose(
     """
     if not 2 <= Q < inf:  # NaN fails every comparison
         raise ValueError("Q must be a finite number >= 2")
-    splits = tuple(smooth_split(c.modulus, Q) for c in system.classes)
+    splits = tuple(smooth_split(n, Q) for n in system.moduli)
     try:
         M = lcm_guarded((s for s, _ in splits), guard_m)
     except GuardExceeded as refusal:
@@ -143,14 +143,14 @@ def decompose(
     # one rough class per distinct (rough, r), shared by every subsystem
     shared: dict[tuple[int, int], ResidueClass] = {}
     rough = []
-    for (_, n), c in zip(splits, system.classes):
+    for (_, n), r in zip(splits, system.residues):
         if gcd(n, M) != 1:
             raise RuntimeError("rough cofactor not coprime to M")
-        pair = (n, c.residue % n)
+        pair = (n, r % n)
         rough.append(shared.setdefault(pair, ResidueClass(*pair)))
     rough = tuple(rough)
 
-    found = _membership_groups(splits, [c.residue for c in system.classes], M)
+    found = _membership_groups(splits, system.residues, M)
     groups = sorted(
         (SubsystemGroup(cnt, rep, bits, rough) for bits, (cnt, rep) in found.items()),
         key=lambda g: g.representative,
@@ -160,10 +160,10 @@ def decompose(
     if landings != sum(M // s for s, _ in splits):
         raise RuntimeError("membership landings do not balance")
 
-    smooth_cls = tuple(
-        c for c, (_, n) in zip(system.classes, splits) if n == 1
+    smooth = ResidueSystem.from_pairs(
+        p for p, (_, n) in zip(system.pairs(), splits) if n == 1
     )
-    return Decomposition(system, Q, M, splits, tuple(groups), ResidueSystem(smooth_cls), rough)
+    return Decomposition(system, Q, M, splits, tuple(groups), smooth, rough)
 
 
 @dataclass(frozen=True)

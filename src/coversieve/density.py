@@ -371,29 +371,34 @@ def is_exact_cover(system: ResidueSystem) -> ExactCoverCheck:
     1 and all pairs are disjoint.  Disjointness is checked per modulus pair
     (residues compared modulo the gcd) as one set-disjointness test: each
     modulus's residues are reduced once per gcd it meets, which keeps large
-    constructed systems cheap.
+    constructed systems cheap.  The check reads the system's columns, with
+    residues grouped by modulus a run at a time; ResidueClass objects are
+    built only for a failing pair.
     """
     total = system.reciprocal_sum()
     if total != 1:
         return ExactCoverCheck(False, total, reason=f"density sum is {total}, not 1")
 
-    by_mod: dict[int, list[ResidueClass]] = {}
-    for c in system.classes:
-        by_mod.setdefault(c.modulus, []).append(c)
+    residues = system.residues
+    by_mod: dict[int, list[int]] = {}
+    for n, start, stop in system.runs():
+        by_mod.setdefault(n, []).extend(residues[start:stop])
 
     for n, group in by_mod.items():
-        seen: dict[int, ResidueClass] = {}
-        for c in group:
-            if c.residue in seen:
+        if len(set(group)) == len(group):
+            continue
+        seen: set[int] = set()
+        for r in group:
+            if r in seen:
                 return ExactCoverCheck(
-                    False, total, failing_pair=(seen[c.residue], c),
+                    False, total, failing_pair=(ResidueClass(n, r), ResidueClass(n, r)),
                     reason="repeated class",
                 )
-            seen[c.residue] = c
+            seen.add(r)
 
     @cache  # one set per (modulus, gcd) however many pairs share it
     def residues_mod(n: int, g: int) -> set[int]:
-        return {c.residue % g for c in by_mod[n]}
+        return {r % g for r in by_mod[n]}
 
     mods = sorted(by_mod)
     for i in range(len(mods)):
@@ -402,16 +407,15 @@ def is_exact_cover(system: ResidueSystem) -> ExactCoverCheck:
             if residues_mod(mods[i], g).isdisjoint(residues_mod(mods[j], g)):
                 continue
             # the first intersecting pair: name the classes as the scan meets them
-            left: dict[int, ResidueClass] = {}
-            for c in by_mod[mods[i]]:
-                left.setdefault(c.residue % g, c)
-            for c in by_mod[mods[j]]:
-                hit = left.get(c.residue % g)
-                if hit is not None:
-                    return ExactCoverCheck(
-                        False, total, failing_pair=(hit, c),
-                        reason="classes intersect",
-                    )
+            left: dict[int, int] = {}
+            for r in by_mod[mods[i]]:
+                left.setdefault(r % g, r)
+            hit = next(r for r in by_mod[mods[j]] if r % g in left)
+            return ExactCoverCheck(
+                False, total,
+                failing_pair=(ResidueClass(mods[i], left[hit % g]), ResidueClass(mods[j], hit)),
+                reason="classes intersect",
+            )
     return ExactCoverCheck(True, total)
 
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from coversieve import density
 from coversieve.cli import COMMANDS, _dumps, build_parser, load_system, run
-from coversieve.core import ResidueSystem
+from coversieve.core import ResidueClass, ResidueSystem
 
 from conftest import divisor_system, indented_json
 
@@ -455,6 +456,11 @@ class TestReportBytes:
          "41e9768f5c28c4fa2e0a66df495ca34ecbeaef0f27939fece383a4f042310b0b"),
         (("stats", "--moduli", "1,3,4,4,6,9", "--mode", "sample", "--trials", "20"),
          "6760970eb3b47b85bd32331595dbe650aa5f679e25cc0c947c5d93a0936c3d4f"),
+        # the minimal block schedule, recorded before ResidueSystem went columnar
+        (("construct-exact", "--J", "3", "--minimal-schedule"),
+         "7fe4749f3a4fc6babe05d66b4322ca8c1ac0ad749bf24683b4994ceee10d3554"),
+        (("construct-exact", "--J", "4", "--minimal-schedule"),
+         "1c34df4c7c7b41fd968e09c34e68614bd584ce3a7ed92b9b746008f522687529"),
     ])
     def test_stdout_digest(self, capsys, monkeypatch, tmp_path, argv, digest):
         # the report echoes the input path, so it is given relative to tmp_path
@@ -473,6 +479,32 @@ class TestReportBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestConstructExactColumnar:
+    """construct-exact keeps its system in columns from construction to
+    report: no ResidueClass is built and the classes tuple stays unread."""
+
+    def test_builds_no_residue_class(self, capsys, monkeypatch):
+        built = []
+        post_init = ResidueClass.__post_init__
+
+        def counted(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(ResidueClass, "__post_init__", counted)
+        cli = importlib.import_module("coversieve.cli")
+        plans = []
+        construct = cli.exact_cover_construct
+        monkeypatch.setattr(cli, "exact_cover_construct",
+                            lambda *a, **k: plans.append(construct(*a, **k)) or plans[-1])
+        result = invoke_json(capsys, "construct-exact", "--J", "4")["result"]
+        (plan,) = plans
+        assert result["class_count"] == len(plan.system) == 91_344 and result["verified"]
+        assert built == [] and plan.system._classes is None
+        # a consumer that reads the classes is seen
+        assert len(plan.system.classes) == 91_344 and len(built) == 91_344
+
+
 _NUMBERS = (
     st.integers(-1000, 1000) | st.integers(-(2**200), 2**200)
     | st.floats(allow_nan=True, allow_infinity=True)
@@ -487,8 +519,26 @@ _TREES = st.recursive(
 )
 
 
+# runs of classes sharing a modulus, with small moduli, modulus 1 and
+# 2^200-sized moduli and residues; a residue is reduced when the system is built
+_SYSTEMS = st.lists(
+    st.tuples(st.integers(1, 12) | st.integers(1, 2**200),
+              st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=6)),
+    max_size=6,
+).map(lambda runs: ResidueSystem.from_pairs((n, r) for n, rs in runs for r in rs))
+
+
 class TestReportWriter:
     """cli._dumps against the stdlib's indented dump it replaces."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_SYSTEMS, st.sampled_from(["bare", "dict", "list", "deep"]))
+    def test_systems_match_their_pairs_form(self, system, nesting):
+        # a system is written from its columns; the reference dumps its pairs
+        plain = {"classes": [[n, r] for n, r in system.pairs()]}
+        wrap = {"bare": lambda x: x, "dict": lambda x: {"system": x, "J": 4},
+                "list": lambda x: [x, 7], "deep": lambda x: {"r": [{"s": x}]}}[nesting]
+        assert _dumps(wrap(system)) == indented_json(wrap(plain))
 
     @pytest.mark.parametrize("obj", [
         [], [[]], [[1]], [[[65]], None], [[1, 2], 3], [[1], []], [{}], {},

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -50,7 +51,89 @@ class TestResidueClass:
         assert set(type(c).__slots__) == {"modulus", "residue"}
 
 
+# repeats, a modulus 1, negative and oversized residues
+MIXED_PAIRS = [(4, 1), (2, 0), (4, 1), (3, -1), (5, 12), (1, 7), (2**200, -1)]
+MIXED_REDUCED = [(4, 1), (2, 0), (4, 1), (3, 2), (5, 2), (1, 0), (2**200, 2**200 - 1)]
+
+
 class TestResidueSystem:
+    def test_three_constructors_agree(self):
+        by_pairs = cs.ResidueSystem.from_pairs(MIXED_PAIRS)
+        by_classes = cs.ResidueSystem(tuple(cs.ResidueClass(n, r) for n, r in MIXED_PAIRS))
+        by_columns = cs.ResidueSystem.from_columns(*zip(*MIXED_PAIRS))
+        for other in (by_classes, by_columns):
+            assert other == by_pairs and hash(other) == hash(by_pairs)
+            assert other.classes == by_pairs.classes
+            assert other.pairs() == by_pairs.pairs() == MIXED_REDUCED
+            assert str(other) == str(by_pairs)
+            assert other.moduli == by_pairs.moduli and other.residues == by_pairs.residues
+
+    def test_residues_reduced_into_range(self):
+        sys_ = cs.ResidueSystem.from_pairs(MIXED_PAIRS)
+        assert list(zip(sys_.moduli, sys_.residues)) == MIXED_REDUCED
+        assert [(c.modulus, c.residue) for c in sys_.classes] == MIXED_REDUCED
+        assert str(sys_) == "{" + ", ".join(f"({n},{r})" for n, r in MIXED_REDUCED) + "}"
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_modulus_rejected_by_every_constructor(self, n):
+        message = f"modulus must be >= 1, got {n}"
+        with pytest.raises(ValueError, match=message):
+            cs.ResidueSystem.from_pairs([(2, 0), (n, 1), (-7, 0)])
+        with pytest.raises(ValueError, match=message):
+            cs.ResidueSystem.from_columns((2, n, -7), (0, 1, 0))
+        with pytest.raises(ValueError, match=message):
+            cs.ResidueSystem((cs.ResidueClass(2, 0), cs.ResidueClass(n, 1)))
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError):
+            cs.ResidueSystem.from_columns((2, 3), (0,))
+
+    def test_empty(self):
+        empties = (cs.ResidueSystem(()), cs.ResidueSystem.from_pairs([]),
+                   cs.ResidueSystem.from_columns((), ()))
+        for sys_ in empties:
+            assert sys_ == empties[0] and hash(sys_) == hash(empties[0])
+            assert len(sys_) == 0 and list(sys_) == [] and sys_.classes == ()
+            assert sys_.pairs() == [] and sys_.runs() == () and str(sys_) == "{}"
+            assert sys_.multiplicity() == 0 and sys_.reciprocal_sum() == 0
+
+    def test_order_matters_for_equality(self):
+        a = cs.ResidueSystem.from_pairs([(2, 0), (3, 1)])
+        b = cs.ResidueSystem.from_pairs([(3, 1), (2, 0)])
+        assert a != b and a == cs.ResidueSystem.from_pairs([(2, 2), (3, 4)])
+        assert a != a.pairs() and a != tuple(a.classes)
+        assert len({a, b, cs.ResidueSystem.from_pairs([(2, 2), (3, 4)])}) == 2
+
+    def test_classes_built_once_and_iterated_in_order(self):
+        sys_ = cs.ResidueSystem.from_pairs(MIXED_PAIRS)
+        assert sys_.classes is sys_.classes
+        assert list(sys_) == list(sys_.classes)
+        assert all(type(c) is cs.ResidueClass for c in sys_)
+
+    def test_classes_given_are_kept(self):
+        classes = (cs.ResidueClass(3, 1), cs.ResidueClass(2, 0))
+        assert cs.ResidueSystem(classes).classes is classes
+
+    def test_immutable(self):
+        sys_ = cs.ResidueSystem.from_pairs([(2, 0)])
+        for name in ("moduli", "residues", "classes"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sys_, name, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del sys_.moduli
+
+    def test_pickle_and_repr(self):
+        sys_ = cs.ResidueSystem.from_pairs([(4, 5), (2, 0)])
+        assert pickle.loads(pickle.dumps(sys_)) == sys_
+        assert repr(sys_) == ("ResidueSystem(classes=(ResidueClass(modulus=4, residue=1), "
+                              "ResidueClass(modulus=2, residue=0)))")
+
+    def test_runs_of_equal_adjacent_moduli(self):
+        sys_ = cs.ResidueSystem.from_pairs([(4, 1), (4, 3), (2, 0), (4, 0), (4, 2), (4, 1)])
+        assert sys_.runs() == ((4, 0, 2), (2, 2, 3), (4, 3, 6))
+        assert sys_.multiplicity() == 5
+        assert sys_.reciprocal_sum() == Fraction(5, 4) + Fraction(1, 2)
+
     def test_order_and_duplicates_preserved(self):
         sys_ = cs.ResidueSystem.from_pairs([(4, 1), (2, 0), (4, 1)])
         assert sys_.pairs() == [(4, 1), (2, 0), (4, 1)]

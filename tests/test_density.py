@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import tracemalloc
@@ -221,6 +222,70 @@ class TestIsExactCoverAgainstOracle:
             outcomes[reason and reason.split(" is ")[0]] += 1
         assert set(outcomes) == {None, "classes intersect", "repeated class", "density sum"}
         assert min(outcomes[None], outcomes["classes intersect"]) >= 10
+
+
+@functools.cache
+def _plan_pairs(J: int) -> tuple[tuple[int, int], ...]:
+    return tuple(cs.exact_cover_construct(J).system.pairs())
+
+
+def _mutated_plans():
+    """The J = 1..4 constructions, and the J = 3 and J = 4 ones with one
+    residue shifted by 1 or moved to a residue its modulus leaves free, one
+    class duplicated, one class dropped, or the first class moved to the
+    end."""
+    for J in (1, 2, 3, 4):
+        yield f"J{J}", J, None
+    for J in (3, 4):
+        for mutation in ("shifted", "moved", "duplicated", "dropped", "first-to-end"):
+            yield f"J{J}-{mutation}", J, mutation
+
+
+def _mutate(pairs: list[tuple[int, int]], mutation: str | None, k: int) -> list[tuple[int, int]]:
+    n, r = pairs[k]
+    if mutation == "shifted":
+        return pairs[:k] + [(n, r + 1)] + pairs[k + 1:]
+    if mutation == "moved":
+        used = {s for m, s in pairs if m == n}
+        return pairs[:k] + [(n, next(s for s in range(n) if s not in used))] + pairs[k + 1:]
+    if mutation == "duplicated":
+        return pairs[:k + 1] + [(n, r)] + pairs[k + 1:]
+    if mutation == "dropped":
+        return pairs[:k] + pairs[k + 1:]
+    if mutation == "first-to-end":
+        return pairs[1:] + pairs[:1]
+    return pairs
+
+
+def _mutated_system(name: str, J: int, mutation: str | None) -> cs.ResidueSystem:
+    pairs = list(_plan_pairs(J))
+    k = random.Random(name).randrange(len(pairs))
+    return cs.ResidueSystem.from_pairs(_mutate(pairs, mutation, k))
+
+
+class TestIsExactCoverOnColumns:
+    """is_exact_cover on the columns of the constructed systems, exact and
+    mutated, against the per-pair dict loop: same verdict, reciprocal sum,
+    reason and reported pair."""
+
+    @pytest.mark.parametrize("name, J, mutation", list(_mutated_plans()),
+                             ids=[name for name, _, _ in _mutated_plans()])
+    def test_matches_oracle(self, name, J, mutation):
+        system = _mutated_system(name, J, mutation)
+        check, expected = cs.is_exact_cover(system), naive_is_exact_cover(system)
+        assert (check.exact, check.reciprocal_sum, check.reason) == (
+            expected.exact, expected.reciprocal_sum, expected.reason)
+        assert check.failing_pair == expected.failing_pair
+        assert bool(check) == (mutation in (None, "first-to-end"))
+
+    def test_mutations_reach_every_outcome(self):
+        reasons = Counter()
+        for case in _mutated_plans():
+            check = cs.is_exact_cover(_mutated_system(*case))
+            reasons[check.reason and check.reason.split(" is ")[0]] += 1
+            assert (check.failing_pair is None) == (check.reason is None
+                                                     or check.reason.startswith("density"))
+        assert reasons == {None: 6, "density sum": 4, "repeated class": 2, "classes intersect": 2}
 
 
 class TestDeltaPlus:
