@@ -87,6 +87,7 @@ def _default(obj):
 # bounds, primes) go to the C encoder in compact form and are re-indented
 # with str.replace.
 _COMPACT = json.JSONEncoder(separators=(",", ":"), default=_default)
+_NOT_FLAT = (dict, list, tuple, str, Fraction, ResidueSystem)
 
 
 def _dumps(obj) -> str:
@@ -117,11 +118,14 @@ def _write(obj, nl: str, out: list[str]) -> None:
         if not obj:
             out.append("[]")
             return
-        flat = _COMPACT.encode(obj)
-        # [1,2]: numbers, bools and nulls only
-        if '"' not in flat and "{" not in flat and flat.count("[") == 1:
-            out.append(f"[{inner}{flat[1:-1].replace(',', ',' + inner)}{nl}]")
-            return
+        # [1,2]: numbers, bools and nulls only.  A report's lists hold one
+        # kind of item, so a list whose first item is nested or a string is
+        # written item by item without a compact encoding to throw away
+        if not isinstance(obj[0], _NOT_FLAT):
+            flat = _COMPACT.encode(obj)
+            if '"' not in flat and "{" not in flat and flat.count("[") == 1:
+                out.append(f"[{inner}{flat[1:-1].replace(',', ',' + inner)}{nl}]")
+                return
         sep = "["
         for item in obj:
             out.append(sep + inner)
@@ -177,8 +181,8 @@ def load_system(path: str, text: bool = False) -> ResidueSystem:
         raise UsageError(f"{path}: 'classes' is not a list of [n, r] pairs")
     for entry in doc:
         # bool is an int subclass, so test the exact type
-        if not (isinstance(entry, list) and len(entry) == 2
-                and all(type(v) is int for v in entry)):
+        if not (type(entry) is list and len(entry) == 2
+                and type(entry[0]) is int and type(entry[1]) is int):
             raise UsageError(
                 f"{path}: bad class {json.dumps(entry)} (expected [n, r] with integers n, r)"
             )

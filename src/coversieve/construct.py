@@ -27,7 +27,7 @@ from .core import (
     _prime_segments,
 )
 from .decompose import SmoothCoverError
-from .density import DEFAULT_CELL_GUARD, _peel, _scan, _uncovered_blocks
+from .density import DEFAULT_CELL_GUARD, _Peel, _scan
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,9 @@ def greedy_cover(N: int, K: int, seed: int = 0, window: int | None = None) -> Gr
     whenever any such class exists (smallest residue on ties).  Densities
     are measured as exact fractions of the window, so passing the full
     period as the window makes every count exact.  Each greedy choice is a
-    ``density._peel`` step, O(cells still uncovered).  A window above
+    ``density._Peel`` step over the window's uncovered residues modulo the
+    lcm of the moduli peeled so far, O(residues still uncovered); once that
+    lcm reaches the window they are its uncovered cells.  A window above
     DEFAULT_CELL_GUARD cells, whose positions would take about 2 bytes per
     cell, raises GuardExceeded before anything is painted.
     """
@@ -87,8 +89,8 @@ def greedy_cover(N: int, K: int, seed: int = 0, window: int | None = None) -> Gr
     chosen: dict[int, int] = {}
     for n in range(N + 1, 2 * N + 1):
         chosen[n] = int(rng.integers(0, n))
-    blocks = _uncovered_blocks(chosen.items(), window)
-    after_random = sum(b.size for b in blocks)
+    peel = _Peel(chosen.items(), window)
+    after_random = peel.count()
 
     steps = []
     for j in range(2 * N + 1, K * N + 1):
@@ -97,15 +99,14 @@ def greedy_cover(N: int, K: int, seed: int = 0, window: int | None = None) -> Gr
         for d in divisors:
             admissible[chosen[d] % d::d] = False
         f = int(admissible.sum())
-        r, blocks = _peel(blocks, j, admissible if f > 0 else None)
-        chosen[j] = r
-        steps.append(GreedyStep(j, divisors, f, r, sum(b.size for b in blocks)))
+        chosen[j] = r = peel.step(j, admissible if f > 0 else None)
+        steps.append(GreedyStep(j, divisors, f, r, peel.count()))
 
     system = ResidueSystem.from_pairs(sorted(chosen.items()))
     return GreedyTrace(
         N, K, window, seed,
         tuple((n, chosen[n]) for n in range(N + 1, 2 * N + 1)),
-        after_random, tuple(steps), system, sum(b.size for b in blocks),
+        after_random, tuple(steps), system, peel.count(),
     )
 
 

@@ -120,6 +120,18 @@ class TestDensityCommand:
         assert captured.out == ""
         assert named in captured.err
 
+    @pytest.mark.parametrize("entry", [
+        [True, 1], [2.0, 1], [2, 1, 0], ["2", 1], {"n": 2}, [[2], 1],
+    ])
+    def test_bad_class_entry_is_input_error(self, capsys, tmp_path, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"classes": [[3, 1], entry]}))
+        assert run(["density", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"{path}: bad class {json.dumps(entry)} (expected [n, r] with integers n, r)\n")
+
 
 class TestBoundsCommand:
     def test_worked_values(self, capsys, tmp_path):
@@ -461,6 +473,13 @@ class TestReportBytes:
          "7fe4749f3a4fc6babe05d66b4322ca8c1ac0ad749bf24683b4994ceee10d3554"),
         (("construct-exact", "--J", "4", "--minimal-schedule"),
          "1c34df4c7c7b41fd968e09c34e68614bd584ce3a7ed92b9b746008f522687529"),
+        # greedy delta-minus, recorded before the greedy peel held the window
+        # as residues modulo the lcm of the moduli peeled so far
+        (("delta-minus", "--moduli", "2,3,4,5,6,7,8,9,10,11,12,13,14,15,16",
+          "--mode", "greedy"),
+         "fbd5ec5628df7c6feaf395c23c7ad7d14867d8b0494df64ced390cf0c9c651d9"),
+        (("delta-minus", "--moduli", "4,6,9,10,15", "--mode", "greedy"),
+         "aee3dc6a0e940ecf2d0c31560414f7090ec03cdd502f5061e7ee8b3155a74e34"),
     ])
     def test_stdout_digest(self, capsys, monkeypatch, tmp_path, argv, digest):
         # the report echoes the input path, so it is given relative to tmp_path

@@ -1,8 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coversieve as cs
 from coversieve import construct, density
@@ -61,10 +64,10 @@ class TestGreedyCover:
             cs.greedy_cover(4, 50, seed=0, window=100)
 
     def test_window_guard_refuses_before_painting(self, monkeypatch):
-        def no_blocks(*args):
+        def no_window(*args):
             raise AssertionError("window painted before the guard refused")
 
-        monkeypatch.setattr(construct, "_uncovered_blocks", no_blocks)
+        monkeypatch.setattr(construct, "_Peel", no_window)
         with pytest.raises(GuardExceeded, match="greedy window") as refusal:
             cs.greedy_cover(4, 50, seed=0, window=density.DEFAULT_CELL_GUARD + 1)
         assert refusal.value.estimate == density.DEFAULT_CELL_GUARD + 1
@@ -75,9 +78,9 @@ class TestGreedyCover:
 
 
 class TestGreedyAgainstOracle:
-    """greedy_cover's per-block uncovered positions against one bool array
-    of the whole window: the whole trace must be equal, from the random
-    residues through every step to the final count."""
+    """greedy_cover's uncovered residues modulo the running lcm against one
+    bool array of the whole window: the whole trace must be equal, from the
+    random residues through every step to the final count."""
 
     @pytest.mark.parametrize("N, K, seed, window", [
         (3, 5, 0, 15),  # window == K*N
@@ -101,8 +104,23 @@ class TestGreedyAgainstOracle:
                                    (4, 8, 3, 449), (5, 10, 4, 1000)]:
             assert cs.greedy_cover(N, K, seed, window) == naive_greedy(N, K, seed, window)
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(2, 8), st.integers(0, 2**16), st.data())
+    def test_windows_around_the_running_lcm(self, N, K, seed, data):
+        # the uncovered count c*|rho| + |rho < t| splits at multiples of the
+        # lcm H of the moduli peeled so far: windows below H, and at and
+        # next to a multiple of it
+        running = list(accumulate(range(N + 1, K * N + 1), lcm))[N - 1:]
+        H = data.draw(st.sampled_from([h for h in running if h <= 30_000] or [running[0]]))
+        window = data.draw(st.one_of(
+            st.integers(1, 3).flatmap(lambda m: st.sampled_from([m * H - 1, m * H, m * H + 1])),
+            st.integers(1, H),
+        ))
+        window = min(max(window, K * N), 100_000)
+        assert cs.greedy_cover(N, K, seed, window) == naive_greedy(N, K, seed, window)
+
     def test_oracle_steps_reach_zero(self):
-        # a fully covered window leaves empty blocks behind; the trace still matches
+        # a fully covered window leaves empty chunks behind; the trace still matches
         trace = naive_greedy(2, 6, 0, 12)
         assert trace.final_uncovered_count == 0
         assert cs.greedy_cover(2, 6, 0, 12) == trace

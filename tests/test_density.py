@@ -667,9 +667,19 @@ class TestDeltaMinus:
             S = cs.ModuliSet.from_iterable(mods)
             assert cs.delta_minus(S, "greedy") == naive_greedy_peel(S), mods
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 20, 24, 30]),
+                    min_size=1, max_size=6),
+           st.integers(0, 2), st.data())
+    def test_greedy_with_ones_and_repeats_matches_all_masks_peel(self, mods, ones, data):
+        # a repeated modulus, and up to two 1s
+        mods = mods + [data.draw(st.sampled_from(mods))] + [1] * ones
+        S = cs.ModuliSet.from_iterable(mods)
+        assert cs.delta_minus(S, "greedy") == naive_greedy_peel(S)
+
     @pytest.mark.parametrize("size", [7, 64])
     def test_greedy_blocks_span_segments(self, monkeypatch, size):
-        # periods up to 360 cells, so the position blocks span many segments
+        # periods up to 360 cells, so the uncovered residues span many chunks
         monkeypatch.setattr(density, "SEGMENT_SIZE", size)
         rnd = random.Random(23)
         pool = [2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 20, 24, 30, 36, 40]
@@ -679,6 +689,64 @@ class TestDeltaMinus:
                 mods.append(1)
             S = cs.ModuliSet.from_iterable(mods)
             assert cs.delta_minus(S, "greedy") == naive_greedy_peel(S), mods
+
+
+class TestPeel:
+    """density._Peel, the one greedy kernel, against one bool array of the
+    window: after every step its residues are those of the uncovered cells
+    modulo H, below W, in chunks of at most a quarter segment."""
+
+    @pytest.mark.parametrize("size", [1, 30, 1 << 20])
+    @pytest.mark.parametrize("pairs, W, moduli", [
+        ([(5, 1), (6, 2), (7, 0), (8, 3)], 10_000, range(9, 30)),  # H < W, then H > W
+        ([(3, 1), (4, 0)], 11, [5, 6, 7]),  # lcm 12 > W from the start
+        ([(2, 1), (3, 2)], 60, [4, 5, 6, 10]),  # H reaches W exactly
+        ([], 720_720, range(2, 17)),  # greedy delta-minus on 2..16
+        ([], 1, [1, 1]),
+    ])
+    def test_residues_are_the_uncovered_cells(self, monkeypatch, size, pairs, W, moduli):
+        monkeypatch.setattr(density, "SEGMENT_SIZE", size)
+        width = max(1, size // 4)
+        assert density._chunk_width() == width
+        unc = np.ones(W, dtype=bool)
+        for n, r in pairs:
+            unc[r::n] = False
+        peel = density._Peel(pairs, W)
+        states = [peel.chunks]
+        for n in moduli:
+            peel._widen(n)
+            states.append(peel.chunks)
+            counts = np.bincount(np.flatnonzero(unc) % n, minlength=n)
+            r = peel.step(n)
+            assert r == int(np.argmax(counts))
+            unc[r::n] = False
+            rho = np.concatenate(peel.chunks)
+            cells = np.flatnonzero(unc)
+            assert rho.tolist() == np.unique(cells % peel.H).tolist()
+            assert (rho < W).all() and peel.count() == len(cells)
+            states.append(peel.chunks)
+        # the paint, each widening and each filter keep the chunk count in
+        # step with |rho|, not with the segments, translates or past sizes
+        for chunks in states:
+            assert all(len(b) <= width for b in chunks)
+            assert len(chunks) <= 2 * sum(len(b) for b in chunks) // width + 1
+
+    @pytest.mark.parametrize("n, size", [(99_991, 1000), (999_983, 1 << 20)])
+    def test_small_rho_widens_a_chunk_at_a_time(self, monkeypatch, n, size):
+        # one residue widened n-fold: pieces of up to one chunk, not one
+        # piece per translate
+        monkeypatch.setattr(density, "SEGMENT_SIZE", size)
+        pieces, pack = [], density._pack
+
+        def spy(translates):
+            translates = list(translates)
+            pieces.append(len(translates))
+            return pack(translates)
+
+        monkeypatch.setattr(density, "_pack", spy)
+        peel = density._Peel((), n)
+        assert (peel.step(n), peel.count()) == (0, n - 1)
+        assert pieces == [1, -(-n // density._chunk_width())]
 
 
 class TestClassMasks:
