@@ -543,7 +543,8 @@ class _Peel:
         """The window [0, W) less the classes (n, r) in pairs: one paint over
         min(H, W) cells, H = lcm of their moduli."""
         self.W, self.H = W, lcm(*(n for n, _ in pairs))
-        dtype = np.int32 if W < 2**31 else np.int64
+        # a translate reaches up to W + H < 2W before it is cut at W
+        dtype = np.int32 if 2 * W < 2**31 else np.int64
         segments = (
             (np.frombuffer(cov, np.uint8) == 0, np.arange(lo, lo + len(cov), dtype=dtype))
             for lo, cov in _covered_segments(pairs, min(self.H, W))

@@ -731,6 +731,11 @@ class TestPeel:
             assert all(len(b) <= width for b in chunks)
             assert len(chunks) <= 2 * sum(len(b) for b in chunks) // width + 1
 
+    def test_translates_fit_the_dtype(self):
+        # translates reach up to W + H < 2W before the cut at W
+        assert density._Peel((), 2**30 - 1).chunks[0].dtype == np.int32
+        assert density._Peel((), 2**30).chunks[0].dtype == np.int64
+
     @pytest.mark.parametrize("n, size", [(99_991, 1000), (999_983, 1 << 20)])
     def test_small_rho_widens_a_chunk_at_a_time(self, monkeypatch, n, size):
         # one residue widened n-fold: pieces of up to one chunk, not one
