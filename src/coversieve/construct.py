@@ -75,6 +75,8 @@ def greedy_cover(N: int, K: int, seed: int = 0, window: int | None = None) -> Gr
     """
     if N < 1 or K < 2:
         raise ValueError("require N >= 1 and K >= 2")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if window is None:
         window = 10 * K * N
     if window < K * N:

@@ -239,6 +239,16 @@ class TestStatsCommand:
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: sample mode draws residues of moduli up to 2^63, not {big}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("stats", "--moduli", "2,4", "--mode", "sample", "--trials", "3", "--seed", "-1"),
+        ("greedy", "--N", "2", "--K", "3", "--window", "100", "--seed", "-1"),
+    ], ids=["stats", "greedy"])
+    def test_negative_seed_refused(self, capsys, argv):
+        code = run(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: seed must be >= 0\n"
+
     def test_sample_accepts_modulus_2_63(self, capsys):
         report = invoke_json(capsys, "stats", "--moduli", f"3,{2**63}", "--mode", "sample",
                              "--trials", "3")
@@ -480,6 +490,15 @@ class TestReportBytes:
          "fbd5ec5628df7c6feaf395c23c7ad7d14867d8b0494df64ced390cf0c9c651d9"),
         (("delta-minus", "--moduli", "4,6,9,10,15", "--mode", "greedy"),
          "aee3dc6a0e940ecf2d0c31560414f7090ec03cdd502f5061e7ee8b3155a74e34"),
+        # sampled moments, recorded before the draws were computed for all
+        # trials at once: Lemire rejections and moduli past 2^32, and a seed
+        # of 2^128 + 1, five entropy words
+        (("stats", "--moduli", "3,2147483653,4294967296,4294967297,8589934591",
+          "--mode", "sample", "--trials", "200", "--seed", "7"),
+         "ea0fbe4cd03b9899e64455d6eb1a5ad70b958b0bcdab3ffc54ffc6cfa59252c6"),
+        (("stats", "--moduli", "3,4,5,6,7,8,9,10,11,12", "--mode", "sample",
+          "--trials", "3000", "--seed", "340282366920938463463374607431768211457"),
+         "9e831c1ab6bb785ebd64234b48eacfd1ad5eb3476fe2f37ea8b6998ebca51dfa"),
     ])
     def test_stdout_digest(self, capsys, monkeypatch, tmp_path, argv, digest):
         # the report echoes the input path, so it is given relative to tmp_path

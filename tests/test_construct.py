@@ -63,6 +63,14 @@ class TestGreedyCover:
         with pytest.raises(ValueError):
             cs.greedy_cover(4, 50, seed=0, window=100)
 
+    def test_negative_seed_refused_before_drawing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a residue was drawn")
+
+        monkeypatch.setattr(construct.np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            cs.greedy_cover(2, 3, seed=-1, window=100)
+
     def test_window_guard_refuses_before_painting(self, monkeypatch):
         def no_window(*args):
             raise AssertionError("window painted before the guard refused")

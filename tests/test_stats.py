@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import coversieve as cs
 from coversieve import density, stats
 from coversieve.core import GuardExceeded
+from coversieve.density import DEFAULT_CELL_GUARD
 
 from conftest import (
     divisors_of, enumerate_residue_choices, naive_density, naive_moments, record_walks,
@@ -354,8 +355,39 @@ class TestSampleMoments:
             raise AssertionError("a residue was drawn")
 
         monkeypatch.setattr(stats.np.random, "default_rng", no_draws)
+        monkeypatch.setattr(stats, "_draws", no_draws)
         with pytest.raises(ValueError, match=r"up to 2\^63"):
             cs.sample_moments(M(3, big), 5)
+
+    def test_refuses_negative_seed_before_drawing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a residue was drawn")
+
+        monkeypatch.setattr(stats.np.random, "default_rng", no_draws)
+        monkeypatch.setattr(stats, "_draws", no_draws)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            cs.sample_moments(M(2, 4), 5, seed=-1)
+
+    def test_numpy_redraws_every_row_when_the_checked_row_differs(self, monkeypatch):
+        # a wrong first output in row 0 makes the vectorized row 0 differ
+        # from numpy's; the check catches it and numpy draws every trial
+        outputs = stats._pcg64_outputs
+
+        def corrupt(entropy, k):
+            out = outputs(entropy, k)
+            out[0] = ~out[0]
+            return out
+
+        drawn = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(stats, "_pcg64_outputs", corrupt)
+        mods = [3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
+        expected = trialwise_moments(mods, 20, 2, DEFAULT_CELL_GUARD)
+        monkeypatch.setattr(stats.np.random, "default_rng",
+                            lambda entropy: drawn.append(entropy[1]) or default_rng(entropy))
+        rep = cs.sample_moments(M(*mods), 20, seed=2)
+        assert (rep.mean, rep.second_moment, rep.variance) == expected
+        assert drawn == [0, *range(20)]
 
     def test_se_formula_and_scaling(self):
         T = M(2, 4)
@@ -369,6 +401,82 @@ class TestSampleMoments:
     def test_requires_positive_trials(self):
         with pytest.raises(ValueError):
             cs.sample_moments(M(2, 4), 0)
+
+
+def _numpy_rows(seed, first, trials, mods):
+    bounds = np.array(mods, dtype=np.uint64)
+    return [np.random.default_rng([seed, t]).integers(0, bounds).tolist()
+            for t in range(first, first + trials)]
+
+
+def _rejects(seed, t, mods):
+    """Whether numpy's draw of row t rejects: a rejection takes more bits
+    than drawing the same row with moduli that never reject (2^32 for a
+    32-bit draw, 2^63 for a 64-bit one) leaves the generator in."""
+    clean = [1 if n == 1 else 2**32 if n <= 2**32 else 2**63 for n in mods]
+    states = []
+    for bounds in (mods, clean):
+        rng = np.random.default_rng([seed, t])
+        rng.integers(0, np.array(bounds, dtype=np.uint64))
+        states.append(rng.bit_generator.state)
+    return states[0] != states[1]
+
+
+# 2^31 + 5 and 2^64 // 3 + 1 reject about half and a third of their draws
+_DRAW_MODULI = [1, 2, 3, 7, 2**31 + 5, 2**32 - 1, 2**32, 2**32 + 1, 10**15 + 37,
+                2**64 // 3 + 1, 2**63]
+
+
+class TestDraws:
+    """_draws against one default_rng([seed, t]).integers(0, moduli) per
+    row, and numpy draws only the rows it must: the row the check
+    compares, rows whose Lemire draw rejects, and rows with t >= 2^32."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 1]),
+           first=st.sampled_from([0, 7, 2**32 - 3]),
+           trials=st.integers(1, 12),
+           mods=st.lists(st.sampled_from(_DRAW_MODULI), max_size=8))
+    # the held uint32 half crosses one and two 64-bit draws
+    @example(seed=0, first=0, trials=12, mods=[3, 2**40, 5])
+    @example(seed=2**128 + 1, first=0, trials=12,
+             mods=[3, 2**32 + 1, 2**63, 7, 2**32, 10**15 + 37, 2**32 - 1])
+    def test_matches_numpy_row_by_row(self, seed, first, trials, mods):
+        expected = _numpy_rows(seed, first, trials, mods)
+        must = [t for t in range(first, first + trials)
+                if t >= 2**32 or _rejects(seed, t, mods)]
+        checked = [t for t in range(first, min(first + trials, 2**32)) if t not in must]
+        drawn = []
+        default_rng = np.random.default_rng
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stats.np.random, "default_rng",
+                          lambda entropy: drawn.append(entropy[1]) or default_rng(entropy))
+            assert stats._draws(seed, first, trials, mods) == expected
+        assert sorted(drawn) == sorted(checked[:1] + must)
+
+    @pytest.mark.parametrize("n", [2**31 + 5, 2**64 // 3 + 1])
+    def test_rejections_are_redrawn(self, n):
+        rejected = [t for t in range(60) if _rejects(5, t, [n])]
+        assert 10 < len(rejected) < 50
+        assert stats._draws(5, 0, 60, [n]) == _numpy_rows(5, 0, 60, [n])
+
+    def test_sample_moments_draws_in_blocks(self, monkeypatch):
+        # a block holds at most _BLOCK_DRAWS draws, so 1000 moduli take
+        # several blocks; a trial of the prime 4093 1000 times leaves
+        # uncovered the residues none of its draws hit
+        calls = []
+        draws = stats._draws
+        monkeypatch.setattr(stats, "_draws",
+                            lambda *a: calls.append(a[1:3]) or draws(*a))
+        mods = [4093] * 1000
+        rep = cs.sample_moments(M(*mods), 140, seed=4)
+        block = stats._BLOCK_DRAWS // 1000
+        assert calls == [(first, min(block, 140 - first)) for first in range(0, 140, block)]
+        assert len(calls) > 2
+        counts = [4093 - len(set(row)) for row in _numpy_rows(4, 0, 140, mods)]
+        assert len(set(counts)) > 10
+        assert rep.mean == Fraction(sum(counts), 140 * 4093)
+        assert rep.second_moment == Fraction(sum(c * c for c in counts), 140 * 4093**2)
 
 
 class TestCountingIdentity:
