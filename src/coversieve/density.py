@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -36,6 +35,7 @@ from .core import (
     factorize,
     lcm_guarded,
 )
+from .walk import _residue_choice, _residue_walk
 
 DEFAULT_CELL_GUARD = 10**9
 # _split_density scans a component whose period is at most SCAN_LEAF cells
@@ -456,44 +456,6 @@ def _class_masks(moduli: list[int], guard: int | None) -> tuple[int, dict[int, i
     return L, masks
 
 
-def _residue_walk(order: list[int], L: int, masks: dict[int, int], leaf, prune=None) -> None:
-    """Depth-first walk, in lexicographic order, over the residue choices
-    for ``order`` that delta tells apart: level i tries each r below
-    g_i = gcd(n_i, lcm(order[:i])), class r being ``masks[n_i]`` shifted by
-    r.  Each leaf calls ``leaf(uncovered, choice)`` with the bits of [0, L)
-    left uncovered and the residues chosen (a reused list: copy to keep).
-    ``prune(i, uncovered)``, if given, skips a node before level i when true.
-
-    Translating by t = 0 (mod lcm(order[:i])), t = -g_i*k (mod n_i), which
-    CRT allows, keeps delta and every earlier class, moves class i from
-    r + g_i*k to r, and permutes the residues of each later level.  By
-    induction over the levels, each leaf thus stands for prod(n_i / g_i)
-    choices of its delta, and the lexicographically first choice of least
-    delta has every residue below its g_i.  Level 0 (g = 1) and a repeated
-    modulus (g = n) need no rule of their own.  A class mod 1 covers
-    everything and has only the residue 0, so its level is not walked: the
-    recursion is as deep as the other moduli, however many 1s there are.
-    """
-    widths = [gcd(n, m) for n, m in zip(order, accumulate(order, lcm, initial=1))]
-    levels = [i for i, n in enumerate(order) if n != 1] + [len(order)]
-    choice = [0] * len(order)
-
-    def walk(k: int, uncovered: int) -> None:
-        i = levels[k]
-        if prune is not None and prune(i, uncovered):
-            return
-        if i == len(order):
-            leaf(uncovered, choice)
-            return
-        mask = masks[order[i]]
-        for r in range(widths[i]):
-            choice[i] = r
-            walk(k + 1, uncovered & ~(mask << r))
-
-    walk(0, 0 if 1 in order else (1 << L) - 1)
-    del walk  # it refers to itself: free the cycle on return
-
-
 def _residues(positions: np.ndarray, n: int) -> np.ndarray:
     """positions % n for nonnegative positions, in one new array.  numpy's
     floor division by a scalar is several times faster than its remainder
@@ -626,13 +588,17 @@ def delta_minus(
     """Minimum (exhaustive) or peeling-bound (greedy) uncovered density for S.
 
     Exhaustive mode enumerates residue choices (product of moduli under
-    ``guard``) with depth-first search over moduli in decreasing order,
-    pruning branches that cannot beat the best value found: each remaining
-    class mod n can remove at most density 1/n.  Each modulus n tries only
-    the residues below gcd(n, lcm of the moduli before it), which fixes the
-    first residue to 0 (``_residue_walk``).  Every choice translates to one
-    of these with the same delta, so the witness is the lexicographically
-    first optimal choice over all residues.
+    ``guard``) over the moduli in decreasing order with ``_residue_walk``,
+    which expands whole blocks of choices a level at a time as rows of
+    bit words, depth first.  Each modulus n tries only the residues below
+    gcd(n, lcm of the moduli before it), which fixes the first residue to
+    0.  Rows that cannot beat the best count found are dropped before each
+    level: each remaining class mod n can remove at most L/n of the L
+    cells.  The best is replaced only by a strictly smaller count, the
+    first in its block, and blocks are met in lexicographic order.  Every
+    choice translates to one the walk visits with the same delta, so the
+    witness is the lexicographically first optimal choice over all
+    residues.
 
     Greedy mode peels the moduli in turn with ``_Peel.step``, the step of
     ``greedy_cover``, over the window [0, L), L <= ``guard``: each removes
@@ -675,18 +641,18 @@ def delta_minus(
     for i in range(len(order) - 1, -1, -1):
         tail_capacity[i] = tail_capacity[i + 1] + L // order[i]
 
-    best_count = L + 1
-    best_choice: list[int] = []
+    best_count, best_index = L + 1, 0
 
-    def prune(i: int, uncovered: int) -> bool:
-        return uncovered.bit_count() - tail_capacity[i] >= best_count
+    def prune(i: int, counts: np.ndarray) -> np.ndarray:
+        return counts - tail_capacity[i] >= best_count
 
-    def keep_best(uncovered: int, choice: list[int]) -> None:
-        nonlocal best_count, best_choice
-        count = uncovered.bit_count()
-        if count < best_count:
-            best_count, best_choice = count, choice.copy()
+    def keep_best(rows: np.ndarray, counts: np.ndarray, index: np.ndarray) -> None:
+        # the first least count of the block is its first leaf of that count
+        nonlocal best_count, best_index
+        at = int(np.argmin(counts))
+        if counts[at] < best_count:
+            best_count, best_index = int(counts[at]), int(index[at])
 
     _residue_walk(order, L, masks, keep_best, prune)
-    witness = ResidueSystem.from_pairs(zip(order, best_choice))
+    witness = ResidueSystem.from_pairs(zip(order, _residue_choice(order, best_index)))
     return DeltaMinusResult(Fraction(best_count, L), witness, True, rsum)

@@ -24,9 +24,9 @@ from .density import (
     DEFAULT_CELL_GUARD,
     _class_masks,
     _components,
-    _residue_walk,
     _split_density,
 )
+from .walk import _residue_walk
 
 DEFAULT_W_GUARD = 10**6
 
@@ -222,6 +222,8 @@ def enumerate_moments(T: ModuliSet, guard_w: int = DEFAULT_W_GUARD) -> MomentRep
     the moduli before it), largest first (``_residue_walk``).  Each visited
     system stands for the same number of the W(T) systems, so both sums are
     exact averages over those visited: 144 of the 362,880 for T = 2..9.
+    The walk hands over its systems a block at a time; the counts of a
+    block and their squares are summed into Python ints.
     """
     W = T.product()
     if W > guard_w:
@@ -230,12 +232,15 @@ def enumerate_moments(T: ModuliSet, guard_w: int = DEFAULT_W_GUARD) -> MomentRep
     L, masks = _class_masks(mods, None)  # lcm(T) <= W(T) <= guard_w bounds the period
     visited = total = total_sq = 0
 
-    def add(uncovered: int, _choice) -> None:
+    def add(rows: np.ndarray, counts: np.ndarray, index: np.ndarray) -> None:
+        # exact in int64 while the block's squares sum below 2^63
         nonlocal visited, total, total_sq
-        c = uncovered.bit_count()
-        visited += 1
-        total += c
-        total_sq += c * c
+        visited += len(counts)
+        total += int(counts.sum())
+        if len(counts) * L * L < 2**63:
+            total_sq += int(counts @ counts)
+        else:
+            total_sq += sum(c * c for c in counts.tolist())
 
     _residue_walk(mods, L, masks, add)
     mean = Fraction(total, visited * L)

@@ -8,16 +8,39 @@ subset search, so that library results are confirmed by independent code.
 import itertools
 import json
 import random
+import warnings
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
 
 import numpy as np
+import pytest
 
 import coversieve as cs
-from coversieve import density
+from coversieve import density, walk
 from coversieve.construct import GreedyStep, GreedyTrace
 from coversieve.density import DeltaMinusResult, ExactCoverCheck
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_makereport(item, call):
+    """Import hypothesis' patch writer before its report hook does, when a
+    test fails: the writer imports libcst, which imports
+    mypy_extensions.TypedDict, and under -W error that DeprecationWarning
+    in the hook ends the run with INTERNALERROR instead of the failure
+    report.  Only that warning is ignored, and only for the import."""
+    if call.excinfo is not None:
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", message="mypy_extensions.TypedDict is deprecated",
+                category=DeprecationWarning,
+            )
+            try:
+                import hypothesis.extra._patching  # noqa: F401
+            except ImportError:  # without libcst hypothesis writes no patch
+                pass
+    return (yield)
+
 
 # lcms <= 1e4 with rich divisor structure; random systems draw moduli
 # from the divisors of one of these
@@ -486,22 +509,34 @@ def full_walk_delta_minus(S: cs.ModuliSet) -> DeltaMinusResult:
     return DeltaMinusResult(Fraction(best_count, L), witness, True, rsum)
 
 
+def leaf_recorder(order: list[int], leaves: list, leaf=None):
+    """A leaf callback for walk._residue_walk on ``order`` that appends
+    (choice, uncovered) to ``leaves`` for every leaf of a block, the choice
+    read off the leaf's number and the uncovered bits of [0, L) as an int,
+    checks each count against its bits, and then hands the block to
+    ``leaf`` if given."""
+    def record(rows, counts, index):
+        for row, count, number in zip(rows, counts, index, strict=True):
+            uncovered = int.from_bytes(row.astype("<u8").tobytes(), "little")
+            assert uncovered.bit_count() == count
+            leaves.append((tuple(walk._residue_choice(order, int(number))), uncovered))
+        if leaf is not None:
+            leaf(rows, counts, index)
+
+    return record
+
+
 def record_walks(monkeypatch, module) -> list[tuple[list[int], dict, list[tuple[int, ...]]]]:
     """Replace module._residue_walk by the real walk run without its prune,
-    recording per call (order, masks, the choice of every leaf in order);
-    with no prune every leaf is reached, and the leaf keeps the result."""
+    recording per call (order, masks, the choice of every leaf in the
+    order the walk meets them); with no prune every leaf is reached, and
+    the leaf callback still gets every block, so it keeps the result."""
     walks = []
-    walk = density._residue_walk
 
     def spy(order, L, masks, leaf, prune=None):
         leaves = []
-        walks.append((order, masks, leaves))
-
-        def record(uncovered, choice):
-            leaves.append(tuple(choice))
-            leaf(uncovered, choice)
-
-        walk(order, L, masks, record)
+        walk._residue_walk(order, L, masks, leaf_recorder(order, leaves, leaf))
+        walks.append((order, masks, [choice for choice, _ in leaves]))
 
     monkeypatch.setattr(module, "_residue_walk", spy)
     return walks

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coversieve as cs
-from coversieve import density
+from coversieve import density, walk
 from coversieve.core import GuardExceeded
 
 from conftest import (
@@ -20,6 +20,7 @@ from conftest import (
     exact_cover_exists,
     full_walk_delta_minus,
     inline_components,
+    leaf_recorder,
     naive_ball_groups,
     naive_density,
     naive_greedy_peel,
@@ -635,6 +636,42 @@ class TestDeltaMinus:
         assert widths == [1, 3, 10, 3, 4, 6, 4, 3]
         assert prod(widths) == 25_920  # of 622,080 with every residue tried
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_small_multisets())
+    def test_one_row_blocks_match_full_walk(self, mods):
+        # a budget of one word splits every level into blocks of one row,
+        # each built from a chunk of one class
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(walk, "_BLOCK_WORDS", 1)
+            S = cs.ModuliSet.from_iterable(mods)
+            assert cs.delta_minus(S) == full_walk_delta_minus(S)
+
+    def test_bench_set_in_one_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(walk, "_BLOCK_WORDS", 1)
+        counts = walk._bit_counts
+
+        def one_row(rows):
+            assert rows.shape == (1, 6)  # L = 360 bits in six words
+            return counts(rows)
+
+        monkeypatch.setattr(walk, "_bit_counts", one_row)
+        S = cs.ModuliSet.from_iterable([3, 4, 6, 8, 9, 10, 12, 15])
+        assert cs.delta_minus(S, guard=10**8) == full_walk_delta_minus(S)
+
+    def test_wide_rows_keep_memory_bounded(self):
+        # rows of 999,000 bits, and 1,000 classes of the repeated 1000: a
+        # table of every class would take 125 MB
+        S = cs.ModuliSet.from_iterable([999, 1000, 1000])
+        tracemalloc.start()
+        try:
+            result = cs.delta_minus(S, guard=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.value == Fraction(249001, 249750)
+        assert result.witness == cs.ResidueSystem.from_pairs([(1000, 0), (1000, 1), (999, 0)])
+        assert peak < 16 * 2**20
+
     def test_greedy_builds_no_mask(self, monkeypatch):
         def no_masks(*args):
             raise AssertionError("greedy peel built a class mask")
@@ -771,7 +808,7 @@ class TestClassMasks:
         order = [9, 9, 6, 6, 4]
         L, masks = density._class_masks(order, 36)
         leaves = []
-        density._residue_walk(order, L, masks, lambda u, choice: leaves.append((tuple(choice), u)))
+        walk._residue_walk(order, L, masks, leaf_recorder(order, leaves))
         # 6 meets lcm(9, 9) = 9 in 3, then lcm(9, 6) = 18 in 6; 4 meets 18 in 2
         assert walk_widths([choice for choice, _ in leaves]) == [1, 9, 3, 6, 2]
         for choice, uncovered in leaves:
@@ -780,8 +817,25 @@ class TestClassMasks:
                 covered |= masks[n] << r
             assert uncovered == (1 << L) - 1 & ~covered
         empty = []
-        density._residue_walk([], 1, {}, lambda u, choice: empty.append((tuple(choice), u)))
+        walk._residue_walk([], 1, {}, leaf_recorder([], empty))
         assert empty == [((), 1)]
+
+    def test_leaf_numbers_past_int64_stay_exact(self):
+        # 2^64 leaves: follow only the last child of each block down to
+        # the last leaf, numbered 2^64 - 1
+        order = [2] * 65
+        L, masks = density._class_masks(order, None)
+        leaves, numbers = [], []
+
+        def all_but_last(i, counts):
+            return np.arange(len(counts)) < len(counts) - 1
+
+        def leaf(rows, counts, index):
+            numbers.extend(int(number) for number in index)
+
+        walk._residue_walk(order, L, masks, leaf_recorder(order, leaves, leaf), all_but_last)
+        assert numbers == [2**64 - 1]
+        assert leaves == [((0,) + (1,) * 64, 0)]  # 0 and 1 mod 2 cover all
 
 
 class TestUncoveredWitness:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import coversieve as cs
-from coversieve import density, stats
+from coversieve import density, stats, walk
 from coversieve.core import GuardExceeded
 from coversieve.density import DEFAULT_CELL_GUARD
 
@@ -176,11 +176,20 @@ class TestPairFormula:
 class TestMomentsOracle:
     """Exact moments against naive_moments, a naive scan of every system."""
 
-    @pytest.mark.parametrize("mods", [
+    MULTISETS = [
         (), (1,), (1, 1), (2,), (2, 2), (1, 3), (2, 4, 4), (3, 3, 2),
         (4, 6, 6), (6, 4, 6, 3), (5, 5, 5), (1, 6, 2, 6),
-    ])
+    ]
+
+    @pytest.mark.parametrize("mods", MULTISETS)
     def test_enumerate_multisets(self, mods):
+        rep = cs.enumerate_moments(M(*mods))
+        assert (rep.mean, rep.second_moment) == naive_moments(list(mods))
+
+    @pytest.mark.parametrize("mods", MULTISETS)
+    def test_enumerate_in_one_row_blocks(self, monkeypatch, mods):
+        # a budget of one word splits every level into blocks of one row
+        monkeypatch.setattr(walk, "_BLOCK_WORDS", 1)
         rep = cs.enumerate_moments(M(*mods))
         assert (rep.mean, rep.second_moment) == naive_moments(list(mods))
 
