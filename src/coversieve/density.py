@@ -5,15 +5,14 @@ The workhorse is a segmented one-byte-per-residue sieve over one full period
 with a single slice assignment per segment.  The uncovered count is the
 period minus the covered bytes, which ``np.count_nonzero`` counts per
 segment at memory speed; the same pass finds the least uncovered integer
-with ``bytearray.find``, a memchr.  On a large period the sieve applies
-the CRT split delta(C) = (1/q) sum_x delta(C_x) itself: the period is laid
-out as q = p^e layers over [0, L/q), the classes with p not dividing n are
-painted once per segment into a base that every layer copies, and each
-layer paints only its own classes.  The q is the prime power that saves the
-most writes, (1 - 1/q) * sum_{p not | n} 1/n a cell, and it is used only
-when that saving beats the copy the layer costs.  Past the scan guard, the
-same split over the p-adic balls of the classes reduces a system to
-subsystems small enough to sieve.  Everything returned is an exact
+with a memchr ``find``.  On a large period the sieve applies the CRT split
+delta(C) = (1/q) sum_x delta(C_x) itself, over q = q1*q2 for up to two
+prime powers exactly dividing L: q layers over [0, L/q), each the OR of a
+table held for the segment per x mod q1 and one rebuilt per x mod q2, over
+a base painted once per segment; the factors are those of least modelled
+cost in writes, copies and Python calls.  Past the scan guard, the same
+split over the p-adic balls of the classes reduces a system to subsystems
+small enough to sieve.  Everything returned is an exact
 ``Fraction``.
 """
 
@@ -22,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -60,49 +60,76 @@ class DensityReport:
     witness: int | None = None
 
 
-def _paint(cov: bytearray, pairs, lo: int) -> None:
-    """Mark in cov every cell lo + i covered by one of the classes (n, r) in
-    pairs: one strided scalar fill of a numpy view per class, so that no
+def _paint(view: np.ndarray, pairs, lo: int) -> None:
+    """Mark in the uint8 array view every cell lo + i covered by one of the
+    classes (n, r) in pairs: one strided scalar fill per class, so that no
     source of 1 bytes is built per class or kept across the segments."""
-    view = np.frombuffer(cov, np.uint8)
     for n, r in pairs:
         view[(r - lo) % n :: n] = 1
 
 
-def _covered_segments(pairs, L: int):
-    """Yield (lo, cov) over [0, L): cov[i] is nonzero iff lo + i is covered
-    by one of the classes (n, r) in pairs, with 0 <= r < n."""
-    for lo in range(0, L, SEGMENT_SIZE):
-        cov = bytearray(min(SEGMENT_SIZE, L - lo))
-        _paint(cov, pairs, lo)
+def _covered_segments(pairs, L: int, width: int | None = None):
+    """Yield (lo, cov) over [0, L) in segments of ``width`` cells, by default
+    SEGMENT_SIZE: cov[i] is nonzero iff lo + i is covered by one of the
+    classes (n, r) in pairs, with 0 <= r < n."""
+    width = width or SEGMENT_SIZE
+    for lo in range(0, L, width):
+        cov = bytearray(min(width, L - lo))
+        _paint(np.frombuffer(cov, np.uint8), pairs, lo)
         yield lo, cov
 
 
-# One copied cell against one strided class write: about 0.05 ns against
-# 2.5 ns on the 440-class bench periods (memcpy of a 1 MiB segment, and the
-# painting time over L * sum 1/n writes; 2-core Xeon, Python 3.11).  A layer
-# pays one copy per cell, so it must save more than this many writes a cell.
+# The layout rule counts in strided class writes, about 2.3 ns each on the
+# 440-class bench periods (2-core Xeon, Python 3.11, numpy 2.4).  Copying,
+# zeroing or OR-ing a cell costs about 0.05 ns, LAYER_COPY_COST writes; the
+# Python calls of one layer visit (OR, count, witness test) about 3 us,
+# LAYER_CALL_COST writes a cell of a SEGMENT_SIZE segment.  Held tables of
+# 96 to 384 KiB ran within 3 % of each other under q1 = 11, 1 MiB slower.
 LAYER_COPY_COST = 0.02
+LAYER_CALL_COST = 0.0012
+LAYER_TABLE_BYTES = 2 << 20
 
 
-def _layer_prime_power(pairs, L: int) -> tuple[int, int] | None:
-    """(p, q) for the prime power q = p^e exactly dividing L over which
-    ``_scan`` lays out the period, or None to sieve it plainly.
+def _segment_width(R: int, held: int) -> int:
+    """Width of the segments of a layer [0, R) with ``held`` held tables:
+    SEGMENT_SIZE, or if those would pass LAYER_TABLE_BYTES the widest equal
+    segments within it (a short last one costs a round of layer visits)."""
+    if held == 1 or held * SEGMENT_SIZE <= LAYER_TABLE_BYTES:
+        return SEGMENT_SIZE
+    return -(-R // -(-R * held // LAYER_TABLE_BYTES))
 
-    Layering paints a class with p not dividing n once per segment of
-    R = L/q instead of q times, saving (1 - 1/q) * sum_{p not | n} 1/n
-    writes a cell, and pays one copied cell a cell; the q saving the most,
-    among those leaving R >= SEGMENT_SIZE, is taken if it beats that copy.
+
+def _layer_factors(pairs, L: int) -> tuple[tuple[int, int], ...]:
+    """The 0-2 factors (p, q), q = p^e exactly dividing L, over whose
+    product ``_scan`` lays out the period; of two, the first has the
+    smaller q and is held.
+
+    A class is painted f times less often, (1/n) / f writes a cell, with f
+    the product of the chosen q whose p does not divide n.  One factor
+    copies a cell a cell; two OR one and copy or zero 1/q1 + 1/q2 more.
+    Each layer visit of each segment makes its Python calls.  The layout of
+    least cost whose layers are a segment wide is taken; ties keep fewer.
     """
-    if L < 2 * SEGMENT_SIZE:  # no q leaves R >= SEGMENT_SIZE: skip factorizing
-        return None
-    best, choice = LAYER_COPY_COST, None
-    for p, e in factorize(L).pairs:
-        q = p**e
-        if L // q >= SEGMENT_SIZE:
-            saving = (1 - 1 / q) * sum(1 / n for n, _ in pairs if n % p)
-            if saving > best:
-                best, choice = saving, (p, q)
+    if L < 2 * SEGMENT_SIZE:  # no layer can be a segment wide: skip factorizing
+        return ()
+    powers = [(p, p**e) for p, e in factorize(L).pairs]
+    mass: dict[tuple[int, ...], float] = {}  # primes of L dividing n -> sum of 1/n
+    for n, _ in pairs:
+        sig = tuple(p for p, _ in powers if n % p == 0)
+        mass[sig] = mass.get(sig, 0.0) + 1 / n
+    best, choice = None, ()
+    pairs_by_size = combinations(sorted(powers, key=lambda f: f[1]), 2)
+    for layout in [(), *((f,) for f in powers), *pairs_by_size]:
+        q = prod(f for _, f in layout)
+        held, R = (layout[0][1] if len(layout) == 2 else 1), L // q
+        if R < min(SEGMENT_SIZE, LAYER_TABLE_BYTES // held):
+            continue
+        writes = sum(m / prod(f for p, f in layout if p not in sig) for sig, m in mass.items())
+        copied = 0 if q == 1 else 1 if held == 1 else 1 + 1 / held + held / q
+        visits = q * -(-R // _segment_width(R, held))
+        cost = writes + LAYER_COPY_COST * copied + LAYER_CALL_COST * visits * SEGMENT_SIZE / L
+        if best is None or cost < best:
+            best, choice = cost, layout
     return choice
 
 
@@ -111,58 +138,76 @@ def _scan(pairs, L: int) -> tuple[int, int | None]:
     dividing L, and the least of them (None when every cell is covered), in
     one pass.
 
-    Where the cost rule of ``_layer_prime_power`` picks q = p^e, which
-    trades (1 - 1/q) * sum_{p not | n} 1/n strided writes a cell for one
-    copied cell, the period is laid out by CRT as q layers over [0, R),
-    R = L/q: layer x holds the y = x (mod q), cell y' of it the
-    y = y' (mod R).  A class with p not dividing n covers y' = r (mod n) in
-    every layer, so it is painted once per segment into a base that each
-    layer copies; a class with g = gcd(n, q) > 1 covers y' = r (mod n/g) in
-    the layers x = r (mod g) only.  The cell y' of layer x is y = y' + R*t
-    with t = (x - y') / R (mod q), so the cells of one t are
-    y' = x - R*t (mod q): the least uncovered y of a layer is found by one
-    strided ``find`` per t = 0, 1, ... while y' + R*t can still beat the
-    least found so far.
-    """
-    uncovered, least = L, None
-    layout = _layer_prime_power(pairs, L)
-    if layout is None:
-        for lo, cov in _covered_segments(pairs, L):
-            uncovered -= int(np.count_nonzero(np.frombuffer(cov, np.uint8)))
-            if least is None:
-                at = cov.find(0)
-                if at >= 0:
-                    least = lo + at
-        return uncovered, least
+    The period is laid out by CRT over q = q1*q2, the factors of
+    ``_layer_factors`` (q1 = 1 for fewer than two, q2 = 1 for none), as q
+    layers over [0, R), R = L/q: layer x holds the y = x (mod q), cell y'
+    of it the y = y' (mod R).  A class with g1 = gcd(n, q1), g2 = gcd(n, q2)
+    covers y' = r (mod n/(g1*g2)) in the layers x = r (mod g1*g2).  Per
+    segment, the classes with g1 = g2 = 1 are painted once into a base,
+    those with g1 > 1 = g2 into q1 held tables, one per x mod q1, and those
+    with g2 > 1 = g1 into a copy of the base rebuilt per x mod q2.  Layer x
+    is the word-wise OR of its two tables, with the classes of g1, g2 > 1
+    painted over it; with q1 = 1 it is the rebuilt table, with q = 1 the base.
 
-    p, q = layout
-    R = L // q
-    base = [(n, r) for n, r in pairs if n % p]
-    layers: list[list[tuple[int, int]]] = [[] for _ in range(q)]
+    The cell y' of layer x is y = y' + R*t with t = (x - y') / R (mod q),
+    so the cells of one t are y' = x - R*t (mod q): the least uncovered y
+    of a layer is found by one strided ``find`` per t = 0, 1, ... while
+    y' + R*t can still beat the least found so far.  A layer with no
+    uncovered cell is not searched.
+    """
+    layout = _layer_factors(pairs, L)
+    (_, q1), (_, q2) = ((1, 1),) * (2 - len(layout)) + layout
+    q, R = q1 * q2, L // (q1 * q2)
+    own: dict[tuple, list] = {}  # (x mod q1, x mod q2), None where g = 1 -> classes
     for n, r in pairs:
-        if n % p == 0:
-            g = gcd(n, q)
-            for x in range(r % g, q, g):
-                layers[x].append((n // g, r % (n // g)))
-    cov = bytearray()
-    for lo in range(0, R, SEGMENT_SIZE):
-        shared = bytearray(min(SEGMENT_SIZE, R - lo))
-        _paint(shared, base, lo)
-        for x in range(q):
-            cov[:] = shared
-            _paint(cov, layers[x], lo)
-            uncovered -= int(np.count_nonzero(np.frombuffer(cov, np.uint8)))
-            for t in range(q):
-                end = len(cov) if least is None else least - R * t - lo
-                if end <= 0:
-                    break
-                start = (x - R * t - lo) % q
-                at = cov[start:end:q].find(0)
-                if at >= 0:
-                    least = lo + start + q * at + R * t
-                    break
-        del shared  # free the base before the next segment allocates its own
+        g1, g2 = gcd(n, q1), gcd(n, q2)
+        for x1 in range(r % g1, q1, g1) if g1 > 1 else [None]:
+            for x2 in range(r % g2, q2, g2) if g2 > 1 else [None]:
+                own.setdefault((x1, x2), []).append((n // (g1 * g2), r))
+    e1, e2 = q2 * pow(q2, -1, q1), q1 * pow(q1, -1, q2)  # layer x from x mod q1, x mod q2
+    width = min(R, _segment_width(R, q1))
+    if q > 1:  # the held tables, the rebuilt one and the layer, in one allocation freed whole
+        rows = np.empty((q1 + 2, -(-width // 8) * 8), np.uint8)
+        words, table, cov = rows.view(np.uint64), rows[q1], rows[q1 + 1]  # ORed word-wise
+    uncovered, least = L, None
+    for lo, segment in _covered_segments(own.get((None, None), ()), R, width):
+        base = np.frombuffer(segment, np.uint8)
+        m = len(base)
+        if q1 > 1:
+            rows[:q1].fill(0)
+            for x1 in range(q1):
+                _paint(rows[x1, :m], own.get((x1, None), ()), lo)
+        for x2 in range(q2):
+            layer = base
+            if q2 > 1:
+                layer = table[:m]
+                layer[:] = base
+                _paint(layer, own.get((None, x2), ()), lo)
+            for x1 in range(q1):
+                if q1 > 1:
+                    np.bitwise_or(words[x1], words[q1], out=words[q1 + 1])
+                    layer = cov[:m]
+                    _paint(layer, own.get((x1, x2), ()), lo)
+                covered = int(np.count_nonzero(layer))
+                uncovered -= covered
+                if covered == m:
+                    continue
+                x = (x1 * e1 + x2 * e2) % q
+                for t in range(q):
+                    end = m if least is None else min(m, least - R * t - lo)
+                    if end <= 0:
+                        break
+                    start = (x - R * t - lo) % q
+                    at = _first_zero(layer[start:end:q])
+                    if at >= 0:
+                        least = lo + start + q * at + R * t
+                        break
     return uncovered, least
+
+
+def _first_zero(cells: np.ndarray) -> int:
+    """Index of the first zero byte of the uint8 array cells, or -1."""
+    return cells.tobytes().find(0)
 
 
 def _ball_groups(pinned, q: int, p: int) -> list[tuple[int, list, int]]:

@@ -63,8 +63,8 @@ class TestDensityCommand:
         painted = []
         segments = density._covered_segments
 
-        def spy(pairs, L):
-            for lo, cov in segments(pairs, L):
+        def spy(pairs, L, *width):
+            for lo, cov in segments(pairs, L, *width):
                 painted.append(lo)
                 yield lo, cov
 

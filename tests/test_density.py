@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -890,35 +891,52 @@ class TestSegmentBoundaries:
 
 
 def record_layouts(monkeypatch) -> list:
-    """Record every (p, q) or None that _scan's layout rule returns."""
+    """Record every tuple of (p, q) factors that _scan's layout rule returns."""
     layouts = []
-    choose = density._layer_prime_power
+    choose = density._layer_factors
 
     def spy(pairs, L):
         layouts.append(choose(pairs, L))
         return layouts[-1]
 
-    monkeypatch.setattr(density, "_layer_prime_power", spy)
+    monkeypatch.setattr(density, "_layer_factors", spy)
     return layouts
 
 
+def record_finds(monkeypatch) -> list:
+    """Record the length of every strided slice _scan searches for a zero."""
+    finds = []
+    first_zero = density._first_zero
+
+    def spy(cells):
+        finds.append(len(cells))
+        return first_zero(cells)
+
+    monkeypatch.setattr(density, "_first_zero", spy)
+    return finds
+
+
 class TestLayeredScan:
-    """The period laid out by CRT as q layers over [0, L/q), against scans
-    of the whole period."""
+    """The period laid out by CRT as q = q1*q2 layers over [0, L/q), against
+    scans of the whole period."""
 
     def test_seeded_system_layers_at_default_segment(self, monkeypatch):
         layouts = record_layouts(monkeypatch)
         L = 24_504_480  # 2^5 3^2 5 7 11 13 17
         pairs = divisor_system(L, 100, 5000, 1)
         assert density._scan(pairs, L) == period_scan(pairs, L)
-        assert layouts[0] is not None and L // layouts[0][1] >= density.SEGMENT_SIZE
+        assert layouts == [((7, 7), (11, 11))]
+        # 7 held tables of one segment fill at most LAYER_TABLE_BYTES
+        R = L // 77
+        assert 7 * density._segment_width(R, 7) <= density.LAYER_TABLE_BYTES <= 7 * R
 
     def test_bench_divisor_system_layers_on_17(self, monkeypatch):
-        # of the 0.35 reciprocal mass, 0.25 lies on moduli prime to 17
+        # of the 0.35 reciprocal mass, 0.25 lies on moduli prime to 17;
+        # 11, held, is the second factor
         layouts = record_layouts(monkeypatch)
         L = 73_513_440
         report = cs.exact_density(cs.ResidueSystem.from_pairs(divisor_system(L, 200, 20_000, 0)))
-        assert layouts == [(17, 17)]
+        assert layouts == [((11, 11), (17, 17))]
         assert (report.uncovered_count, report.witness) == (53_225_898, 1)
 
     @pytest.mark.parametrize("size", [1, 5, 16])
@@ -931,7 +949,7 @@ class TestLayeredScan:
         layouts = record_layouts(monkeypatch)
         system = cs.ResidueSystem.from_pairs([(2, 0), (4, 1), (8, 3), (16, 7)] + extra)
         report = cs.exact_density(system)
-        assert layouts == [(3, 3)]
+        assert layouts == [((3, 3),)]
         assert report.witness == naive_witness(system) == least
         assert report.value == naive_density(system)
 
@@ -939,9 +957,55 @@ class TestLayeredScan:
     def test_covering_system_has_no_witness(self, monkeypatch, size):
         monkeypatch.setattr(density, "SEGMENT_SIZE", size)
         layouts = record_layouts(monkeypatch)
+        finds = record_finds(monkeypatch)
         report = cs.exact_density(OPENING)
-        assert layouts == [(3, 3)]
+        # at width 1 the 12 layers of 3 * 4 are one cell wide, and win
+        assert layouts == [((3, 3), (2, 4)) if size == 1 else ((3, 3),)]
         assert (report.value, report.witness) == (0, None)
+        assert finds == []  # every layer is full, so none is searched
+
+    def test_covering_bench_system_runs_no_find(self, monkeypatch):
+        # the bench divisors of 73,513,440 and the five classes of OPENING
+        layouts = record_layouts(monkeypatch)
+        finds = record_finds(monkeypatch)
+        L = 73_513_440
+        pairs = divisor_system(L, 200, 20_000, 0) + OPENING.pairs()
+        assert density._scan(pairs, L) == (0, None)
+        assert layouts == [((11, 11), (17, 17))] and finds == []
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    @pytest.mark.parametrize("pairs", [
+        # L = 60 over 3 * 4: (5, 1) in the base, (15, 2) held, (20, 3) and
+        # (10, 4) rebuilt; (60, 7), (30, 11) and (12, 5) painted per layer,
+        # the last of reduced modulus 1, filling the layers 5 (mod 12)
+        [(5, 1), (15, 2), (20, 3), (60, 7), (12, 5), (30, 11), (10, 4)],
+        # every y below 2R covered: the witness 11 has t >= 1
+        [(15, 7), (2, 0), (10, 3), (4, 1)],
+    ])
+    def test_two_factors_match_whole_period_scan(self, monkeypatch, size, pairs):
+        monkeypatch.setattr(density, "SEGMENT_SIZE", size)
+        layouts = record_layouts(monkeypatch)
+        L = lcm(*(n for n, _ in pairs))
+        count, least = density._scan(pairs, L)
+        assert (count, least) == period_scan(pairs, L)
+        (_, q1), (_, q2) = layouts[0]
+        assert q1 < q2 and (least == 0 or least >= L // (q1 * q2))
+
+    def test_divisor_systems_of_highly_composite_periods(self):
+        layouts = []
+
+        @settings(derandomize=True, max_examples=80, deadline=None)
+        @given(st.sampled_from([360, 720, 840, 1260]), st.sampled_from([1, 2, 3]), st.data())
+        def check(L, size, data):
+            divisors = [d for d in range(2, L + 1) if L % d == 0]
+            moduli = data.draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=8)) + [L]
+            pairs = [(n, data.draw(st.integers(0, n - 1))) for n in moduli]
+            with mock.patch.object(density, "SEGMENT_SIZE", size):
+                layouts.append(density._layer_factors(pairs, L))
+                assert density._scan(pairs, L) == period_scan(pairs, L)
+
+        check()
+        assert sum(len(layout) == 2 for layout in layouts) >= 40
 
     @pytest.mark.parametrize("size", [2, 5])
     def test_random_systems_match_whole_period_scan(self, monkeypatch, size):
@@ -952,20 +1016,39 @@ class TestLayeredScan:
             pairs = random_system(rnd, allow_unit=True).pairs()
             L = lcm(*(n for n, _ in pairs))
             assert density._scan(pairs, L) == period_scan(pairs, L)
-        assert sum(layout is not None for layout in layouts) >= 100
+        assert sum(len(layout) > 0 for layout in layouts) >= 100
+        assert sum(len(layout) == 2 for layout in layouts) >= 60
 
     @pytest.mark.parametrize("pairs, size, layout", [
-        ([(2, 0), (3, 0), (4, 1), (6, 1), (12, 11)], 2, (3, 3)),
-        ([(2, 0), (3, 0), (4, 1), (6, 1), (12, 11)], 5, None),  # R = 3 or 4 < 5
-        ([(6, 0), (6, 1), (12, 5)], 1, None),  # nothing prime to 2 or to 3
+        ([(2, 0), (3, 0), (4, 1), (6, 1), (12, 11)], 2, ((3, 3),)),  # 3 * 4 leaves R = 1 < 2
+        ([(2, 0), (3, 0), (4, 1), (6, 1), (12, 11)], 5, ()),  # R = 3 or 4 < 5
+        ([(6, 0), (6, 1), (12, 5)], 1, ()),  # nothing prime to 2 or to 3
         # the coprime mass 6/7 * 1/60 buys less than the copy costs
-        ([(60, 0), (700, 1)], 1, None),
-        ([(30, 0), (700, 1)], 1, (7, 7)),  # 6/7 * 1/30 buys more
-        ([(32, 0), (3, 1), (9, 2)], 1, (2, 32)),  # q is the whole power of p
+        ([(60, 0), (700, 1)], 1, ()),
+        # 6/7 * 1/30 buys more; a second factor 3 would save 2/3 * 1/700,
+        # less than its copies
+        ([(30, 0), (700, 1)], 1, ((7, 7),)),
+        # two factors, each the whole power of its p; the smaller is held
+        ([(32, 0), (3, 1), (9, 2)], 1, ((3, 9), (2, 32))),
+        ([(32, 0), (3, 1), (9, 2)], 2, ((2, 32),)),  # 9 * 32 leaves R = 1 < 2
+        ([(2, 0), (3, 0), (4, 1), (6, 1), (12, 11)], 1, ((3, 3), (2, 4))),
+        ([(5, 0), (7, 1), (11, 2)], 1, ((7, 7), (11, 11))),  # 5 stays in the base
+        ([(10, 0), (14, 1), (35, 2)], 1, ((5, 5), (7, 7))),  # 35 on both: painted per layer
     ])
     def test_cost_rule(self, monkeypatch, pairs, size, layout):
         monkeypatch.setattr(density, "SEGMENT_SIZE", size)
-        assert density._layer_prime_power(pairs, lcm(*(n for n, _ in pairs))) == layout
+        assert density._layer_factors(pairs, lcm(*(n for n, _ in pairs))) == layout
+
+    def test_narrow_segments_pay_their_layer_visits(self, monkeypatch):
+        # 7 held tables in a 7-byte budget cut the layers of 7 * 11 into
+        # one-cell segments: five times the layer visits a cell of 11 alone
+        pairs, L = [(5, 0), (7, 1), (11, 2)], 385
+        monkeypatch.setattr(density, "SEGMENT_SIZE", 5)
+        monkeypatch.setattr(density, "LAYER_TABLE_BYTES", 7)
+        assert density._layer_factors(pairs, L) == ((7, 7), (11, 11))
+        monkeypatch.setattr(density, "LAYER_CALL_COST", 0.1)
+        assert density._layer_factors(pairs, L) == ((11, 11),)
+        assert density._scan(pairs, L) == period_scan(pairs, L)
 
 
 class TestPairCorrectionAgainstScans:
