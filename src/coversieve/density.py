@@ -485,22 +485,6 @@ class DeltaMinusResult:
     reciprocal_sum: Fraction
 
 
-def _class_masks(moduli: list[int], guard: int | None) -> tuple[int, dict[int, int]]:
-    """Guarded period L = lcm(moduli) and, per distinct n, the mask of the
-    multiples of n in [0, L); class r of n is that mask shifted up by r."""
-    L = lcm_guarded(moduli, guard)
-    masks = {}
-    for n in set(moduli):
-        mask, width = 1, n  # the multiples of n below width
-        while 2 * width < L:
-            mask |= mask << width
-            width *= 2
-        # now L <= 2 * width, and L - width is a multiple of n: the
-        # multiples below L are those below width and their shift by it
-        masks[n] = mask | (mask << (L - width))
-    return L, masks
-
-
 def _residues(positions: np.ndarray, n: int) -> np.ndarray:
     """positions % n for nonnegative positions, in one new array.  numpy's
     floor division by a scalar is several times faster than its remainder
@@ -632,18 +616,18 @@ def delta_minus(
 ) -> DeltaMinusResult:
     """Minimum (exhaustive) or peeling-bound (greedy) uncovered density for S.
 
-    Exhaustive mode enumerates residue choices (product of moduli under
-    ``guard``) over the moduli in decreasing order with ``_residue_walk``,
-    which expands whole blocks of choices a level at a time as rows of
-    bit words, depth first.  Each modulus n tries only the residues below
-    gcd(n, lcm of the moduli before it), which fixes the first residue to
-    0.  Rows that cannot beat the best count found are dropped before each
-    level: each remaining class mod n can remove at most L/n of the L
-    cells.  The best is replaced only by a strictly smaller count, the
-    first in its block, and blocks are met in lexicographic order.  Every
-    choice translates to one the walk visits with the same delta, so the
-    witness is the lexicographically first optimal choice over all
-    residues.
+    Exhaustive mode enumerates residue choices (product of moduli, and the
+    period L = lcm(S), under ``guard``) over the moduli in decreasing order
+    with ``_residue_walk``, which expands whole blocks of choices a level at
+    a time as rows of L bits, depth first.  Each modulus n tries only the
+    residues below gcd(n, lcm of the moduli before it), which fixes the
+    first residue to 0.  Rows that cannot beat the best count found are
+    dropped before each level: each remaining class mod n can remove at
+    most L/n of the L cells.  The best is replaced only by a strictly
+    smaller count, the first in its block, and blocks are met in
+    lexicographic order.  Every choice translates to one the walk visits
+    with the same delta, so the witness is the lexicographically first
+    optimal choice over all residues.
 
     Greedy mode peels the moduli in turn with ``_Peel.step``, the step of
     ``greedy_cover``, over the window [0, L), L <= ``guard``: each removes
@@ -664,10 +648,9 @@ def delta_minus(
         value = Fraction(peel.count(), peel.W)
         return DeltaMinusResult(value, ResidueSystem.from_pairs(chosen), False, rsum)
 
-    # refuse before any mask is built: the period guard as _class_masks
-    # applies it, then the residue-choice guard
+    # refuse before any row is built: the period guard, then the choice guard
     try:
-        lcm_guarded(mods, guard)
+        L = lcm_guarded(mods, guard)
     except GuardExceeded as refusal:
         raise GuardExceeded(
             f"class-mask period exceeds guard of {guard} bits",
@@ -679,7 +662,6 @@ def delta_minus(
             estimate=prod(mods),
         )
     order = sorted(mods, reverse=True)
-    L, masks = _class_masks(order, guard)
 
     # residual-removal capacity of the tail of the search, as counts over [0, L)
     tail_capacity = [0] * (len(order) + 1)
@@ -698,6 +680,6 @@ def delta_minus(
         if counts[at] < best_count:
             best_count, best_index = int(counts[at]), int(index[at])
 
-    _residue_walk(order, L, masks, keep_best, prune)
+    _residue_walk(order, L, keep_best, prune)
     witness = ResidueSystem.from_pairs(zip(order, _residue_choice(order, best_index)))
     return DeltaMinusResult(Fraction(best_count, L), witness, True, rsum)

@@ -14,19 +14,15 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm, prod
 
 import numpy as np
 
 from .bounds import alpha
 from .core import GuardExceeded, ModuliSet, lcm_guarded
-from .density import (
-    DEFAULT_CELL_GUARD,
-    _class_masks,
-    _components,
-    _split_density,
-)
-from .walk import _residue_walk
+from .density import DEFAULT_CELL_GUARD, _components, _split_density
+from .walk import _bit_counts, _multiples, _residue_walk, _shifted
 
 DEFAULT_W_GUARD = 10**6
 
@@ -125,11 +121,11 @@ def _pcg64_outputs(entropy, k: int):
     return x >> rot | x << (64 - rot & 63)
 
 
-def _draws(seed: int, first: int, trials: int, moduli: list[int]) -> list[list[int]]:
-    """Residues of trials first..first+trials-1, one row per trial.
+def _draws(seed: int, first: int, trials: int, moduli: list[int]) -> np.ndarray:
+    """Residues of trials first..first+trials-1 as uint64, one row per trial.
 
-    Row t is ``np.random.default_rng([seed, t]).integers(0, moduli)``
-    as a list, computed for all rows together from numpy's own
+    Row t is ``np.random.default_rng([seed, t]).integers(0, moduli)``,
+    computed for all rows together from numpy's own
     algorithms: the SeedSequence and PCG64 above, then Generator.integers
     with uint64 bounds.  That draws nothing for a modulus 1; below 2^32 it
     takes a 32-bit Lemire draw from the low half of a fresh output,
@@ -144,7 +140,7 @@ def _draws(seed: int, first: int, trials: int, moduli: list[int]) -> list[list[i
     bounds = np.array(moduli, dtype=np.uint64)
 
     def numpy_row(t):
-        return np.random.default_rng([seed, t]).integers(0, bounds).tolist()
+        return np.random.default_rng([seed, t]).integers(0, bounds)
 
     # the output each draw reads and the bit it starts at
     small, small_at, small_bit, big, big_at = [], [], [], [], []
@@ -170,7 +166,7 @@ def _draws(seed: int, first: int, trials: int, moduli: list[int]) -> list[list[i
     entropy = [np.full(rows, w, dtype=np.uint32) for w in words]
     entropy.append(np.arange(first, first + rows, dtype=np.uint32))
     out = _pcg64_outputs(entropy, k)
-    residues = np.zeros((rows, len(moduli)), dtype=np.uint64)
+    drawn = np.zeros((trials, len(moduli)), dtype=np.uint64)
     rejected = np.zeros(rows, dtype=bool)
     if small:
         m = out[:, small_at]
@@ -180,20 +176,18 @@ def _draws(seed: int, first: int, trials: int, moduli: list[int]) -> list[list[i
         thresholds = np.array([(2**32 - moduli[i]) % moduli[i] for i in small], np.uint64)
         rejected |= ((m & _M32) < thresholds).any(axis=1)
         m >>= 32
-        residues[:, small] = m
+        drawn[:rows, small] = m
     if big:
         u, n = out[:, big_at], bounds[big]
-        residues[:, big] = _mulhi(u, n)
+        drawn[:rows, big] = _mulhi(u, n)
         thresholds = np.array([(2**64 - moduli[i]) % moduli[i] for i in big], np.uint64)
         rejected |= (u * n < thresholds).any(axis=1)
 
-    drawn = residues.tolist()
     kept = np.flatnonzero(~rejected)
-    if len(kept) and drawn[kept[0]] != numpy_row(first + int(kept[0])):
+    if len(kept) and (drawn[kept[0]] != numpy_row(first + int(kept[0]))).any():
         rejected[:] = True
-    for r in np.flatnonzero(rejected).tolist():
+    for r in [*np.flatnonzero(rejected).tolist(), *range(rows, trials)]:
         drawn[r] = numpy_row(first + r)
-    drawn.extend(numpy_row(t) for t in range(first + rows, first + trials))
     return drawn
 
 
@@ -229,7 +223,7 @@ def enumerate_moments(T: ModuliSet, guard_w: int = DEFAULT_W_GUARD) -> MomentRep
     if W > guard_w:
         raise GuardExceeded(f"W(T) = {W} exceeds guard {guard_w}", estimate=W)
     mods = sorted(T.moduli, reverse=True)
-    L, masks = _class_masks(mods, None)  # lcm(T) <= W(T) <= guard_w bounds the period
+    L = lcm(*mods)  # lcm(T) <= W(T) <= guard_w bounds the period
     visited = total = total_sq = 0
 
     def add(rows: np.ndarray, counts: np.ndarray, index: np.ndarray) -> None:
@@ -242,7 +236,7 @@ def enumerate_moments(T: ModuliSet, guard_w: int = DEFAULT_W_GUARD) -> MomentRep
         else:
             total_sq += sum(c * c for c in counts.tolist())
 
-    _residue_walk(mods, L, masks, add)
+    _residue_walk(mods, L, add)
     mean = Fraction(total, visited * L)
     second = Fraction(total_sq, visited * L * L)
     variance = second - mean * mean
@@ -308,19 +302,22 @@ def sample_moments(
     over L is the product over the components of the shares-a-prime graph
     on T, found once by ``_components``: a one-class component of modulus
     n contributes n - 1 (its density (n - 1)/n, and 0 for n = 1), and any
-    other ORs its shifted class masks, built once per component over the
-    component's own lcm.  Past that bound, each trial is solved by the
-    split engine with ``density_guard`` as its work budget.  Trials add
-    integer counts over L and their squares; the moments are fractions
-    built once at the end, and only the standard error is floating.
+    other the bits its classes leave of its own lcm, counted for a block of
+    trials at once in the OR of their rows (``_shifted`` from the
+    ``_multiples`` of each distinct n).  Past that bound, each trial is
+    solved by the split engine with ``density_guard`` as its work budget.
+    Trials add integer counts over L and their squares; the moments are
+    fractions built once at the end, and only the standard error is
+    floating.
     Trial t's residues are those of
     ``np.random.default_rng([seed, t]).integers(0, T.moduli)``, computed
     by ``_draws`` in one vectorized pass per block of at most
-    ``_BLOCK_DRAWS`` draws (one trial if it has more); numpy stays the
-    oracle and draws itself only a row whose Lemire draw rejects, a row
-    with t >= 2^32, and every row of a block whose first kept row it
-    would draw differently.  Moduli go up to 2^63; a larger one,
-    or a negative seed, is refused with a ValueError before any draw.
+    ``_BLOCK_DRAWS`` draws and words in a component's rows (one trial if
+    it has more); numpy stays the oracle and draws itself only a row whose
+    Lemire draw rejects, a row with t >= 2^32, and every row of a block
+    whose first kept row it would draw differently.  Moduli go up to 2^63;
+    a larger one, or a negative seed, is refused with a ValueError before
+    any draw.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -334,31 +331,31 @@ def sample_moments(
     except GuardExceeded:
         L, parts = lcm_guarded(mods), None
     else:
-        # (period, [(mask, index into mods)]) per component of two or more classes
+        # (period, [(multiples of n, index into mods)]) per component of 2+ classes
         const, parts = 1, []
         for period, members in _components((n, i) for i, n in enumerate(mods)):
             if len(members) == 1:
                 const *= period - 1
             else:
-                _, masks = _class_masks([n for n, _ in members], None)
-                parts.append((period, [(masks[n], i) for n, i in members]))
+                bases = {n: _multiples(n, period) for n in {n for n, _ in members}}
+                parts.append((period, [(bases[n], i) for n, i in members]))
 
+    # a block holds at most _BLOCK_DRAWS draws, and as many words in a component's rows
+    block = max(1, _BLOCK_DRAWS // max(len(mods), 1, *(-(-p // 64) for p, _ in parts or ())))
     total = total_sq = 0
-    block = _BLOCK_DRAWS // max(len(mods), 1) or 1
     for first in range(0, trials, block):
-        for residues in _draws(seed, first, min(block, trials - first), mods):
-            if parts is None:
-                d = _split_density(list(zip(mods, residues)), density_guard)
-                count = d.numerator * (L // d.denominator)
-            else:
-                count = const
-                for period, members in parts:
-                    covered = 0
-                    for mask, i in members:
-                        covered |= mask << residues[i]
-                    count *= period - covered.bit_count()
-            total += count
-            total_sq += count * count
+        drawn = _draws(seed, first, min(block, trials - first), mods)
+        if parts is None:
+            ds = [_split_density([*zip(mods, row)], density_guard) for row in drawn.tolist()]
+            counts = np.array([d.numerator * (L // d.denominator) for d in ds], object)
+        else:
+            # counts are at most L <= 2*10^5, so a block's squares sum in int64
+            counts = np.full(len(drawn), const, np.int64)
+            for period, members in parts:
+                rows = (_shifted(base, drawn[:, i]) for base, i in members)
+                counts *= period - _bit_counts(reduce(np.bitwise_or, rows))
+        total += int(counts.sum())
+        total_sq += int(counts @ counts)
 
     if trials >= 2:
         variance = Fraction(trials * total_sq - total * total, trials * (trials - 1) * L * L)

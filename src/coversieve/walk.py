@@ -2,18 +2,19 @@
 ``enumerate_moments``: every residue choice for a list of moduli that the
 uncovered density tells apart, met in lexicographic order a block at a
 time, each choice a row of uint64 words holding its uncovered bits of one
-period.
+period.  ``_multiples`` and ``_shifted`` build its class rows, and the sampler's.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate
 from math import gcd, lcm, prod
 
 import numpy as np
 
 # words in one block of the residue walk: each block of rows it expands,
-# and each chunk of shifted class masks it builds, holds at most this many
+# and each chunk of shifted classes it builds, holds at most this many
 # uint64 words, or one row when a row is wider
 _BLOCK_WORDS = 2**12
 
@@ -39,11 +40,43 @@ def _bit_counts(rows: np.ndarray) -> np.ndarray:
     return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
 
 
-def _residue_walk(order: list[int], L: int, masks: dict[int, int], leaf, prune=None) -> None:
+def _multiples(n: int, L: int) -> np.ndarray:
+    """The W = ceil(L/64) uint64 words of the multiples of n in [0, L),
+    packed from a transient byte per cell: eight times the row's bytes."""
+    cells = np.zeros(-(-L // 64) * 64, bool)
+    cells[:L:n] = True
+    return np.packbits(cells, bitorder="little").view(np.uint64)
+
+
+def _shifted(base: np.ndarray, residues: np.ndarray) -> np.ndarray:
+    """(len(residues) >= 1, W) words, row k those of ``base`` moved up by
+    r = residues[k] bits and cut at W words: class r < n of n, for ``base``
+    the multiples of n.  The rows of one word shift q = r // 64 are written
+    at once, as one slice where they are adjacent (ascending r always are)."""
+    W = len(base)
+    rows = np.zeros((len(residues), W), np.uint64)
+    q = residues >> 6
+    s = (residues & 63).astype(np.uint64)
+    order = np.argsort(q, kind="stable")
+    q = q[order]
+    cuts = [0, *(np.flatnonzero(q[1:] != q[:-1]) + 1).tolist(), len(q)]
+    for a, b in zip(cuts, cuts[1:]):
+        k, at = int(q[a]), order[a:b]
+        if at[-1] - at[0] == b - a - 1:
+            at = slice(at[0], at[-1] + 1)
+        shift = s[at, None]
+        part = base[: W - k] << shift
+        # numpy shifts by 64 or more to 0, so s = 0 carries nothing
+        part[:, 1:] |= base[: W - k - 1] >> (64 - shift)
+        rows[at, k:] = part
+    return rows
+
+
+def _residue_walk(order: list[int], L: int, leaf, prune=None) -> None:
     """Walk, in lexicographic order, over the residue choices for ``order``
     that delta tells apart: level i tries each r below
-    g_i = gcd(n_i, lcm(order[:i])) (``_residue_widths``), class r being
-    ``masks[n_i]`` shifted by r.
+    g_i = gcd(n_i, lcm(order[:i])) (``_residue_widths``), class r of n_i
+    being the multiples of n_i in [0, L) (``_multiples``) shifted up by r.
 
     The walk goes level by level over blocks of nodes.  A node is a row of
     W = ceil(L/64) uint64 words holding its uncovered bits of [0, L), and
@@ -76,35 +109,21 @@ def _residue_walk(order: list[int], L: int, masks: dict[int, int], leaf, prune=N
     W = -(-L // 64)
     widths = _residue_widths(order)
     levels = [i for i, g in enumerate(widths) if g > 1] + [len(order)]
-    # a level of width 1 has the one class r = 0, masks[n] itself: it is
+    # the words of the multiples of each modulus; those of 1 are every bit below L
+    bases = {n: _multiples(n, L) for n in {1, *order}}
+    # a level of width 1 has the one class r = 0, the multiples of n: it is
     # folded into the walked level before it, or into the start row (-1)
-    rest: dict[int, np.ndarray] = {}  # level -> the bits its folds leave
+    rest = {}  # level -> the bits below L its folds leave
     for i, j in zip([-1] + levels, levels):
-        bits = (1 << L) - 1
-        for n in {order[f] for f in range(i + 1, j)}:
-            bits &= ~masks[n]
-        rest[i] = np.frombuffer(bits.to_bytes(8 * W, "little"), "<u8")
+        folds = (bases[1] ^ bases[n] for n in {*order[i + 1 : j]})
+        rest[i] = reduce(np.bitwise_and, folds, bases[1])
     # the numbers of the leaves run up to prod(widths) - 1
     dtype = np.int64 if prod(widths) < 2**63 else object
-    bases: dict[int, np.ndarray] = {}  # n -> the words of masks[n]
     whole: dict[int, np.ndarray] = {}  # level -> complements of all its classes
 
     def complements(i: int, lo: int, hi: int) -> np.ndarray:
-        """(hi - lo, W) words, row r - lo the complement of class r of level
-        i and of the classes folded into it: the mask's words shifted up by
-        q = r // 64 words and s = r % 64 bits, all the r of one q at once."""
-        n = order[i]
-        if n not in bases:
-            bases[n] = np.frombuffer(masks[n].to_bytes(8 * W, "little"), "<u8")
-        base = bases[n]
-        table = np.zeros((hi - lo, W), np.uint64)
-        for q in range(lo // 64, (hi - 1) // 64 + 1):
-            a, b = max(lo, 64 * q), min(hi, 64 * q + 64)
-            s = np.arange(a - 64 * q, b - 64 * q, dtype=np.uint64)[:, None]
-            part = table[a - lo : b - lo]
-            part[:, q:] = base[: W - q] << s
-            # numpy shifts by 64 or more to 0, so s = 0 carries nothing
-            part[:, q + 1 :] |= base[: W - q - 1] >> (64 - s)
+        """(hi - lo, W) words, row r - lo the bits rest[i] leaves of class r."""
+        table = _shifted(bases[order[i]], np.arange(lo, hi))
         # complemented by xor: the first np.invert in a process raised its
         # peak memory by 184 KiB where the sampler's xor had run (numpy 2.4)
         table ^= np.uint64(2**64 - 1)

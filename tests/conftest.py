@@ -509,6 +509,20 @@ def full_walk_delta_minus(S: cs.ModuliSet) -> DeltaMinusResult:
     return DeltaMinusResult(Fraction(best_count, L), witness, True, rsum)
 
 
+def multiples_oracle(n: int, L: int) -> int:
+    """The multiples of n in [0, L) as the bits of a Python int; the
+    reference for walk._multiples.  Read from a string of L binary digits,
+    bit x the digit L - 1 - x, in time linear in L."""
+    digits = ["0"] * L
+    digits[::n] = "1" * len(digits[::n])
+    return int("".join(reversed(digits)), 2)
+
+
+def row_int(words: np.ndarray) -> int:
+    """A row of uint64 words as one Python int, word 0 lowest."""
+    return int.from_bytes(words.astype("<u8").tobytes(), "little")
+
+
 def leaf_recorder(order: list[int], leaves: list, leaf=None):
     """A leaf callback for walk._residue_walk on ``order`` that appends
     (choice, uncovered) to ``leaves`` for every leaf of a block, the choice
@@ -517,7 +531,7 @@ def leaf_recorder(order: list[int], leaves: list, leaf=None):
     ``leaf`` if given."""
     def record(rows, counts, index):
         for row, count, number in zip(rows, counts, index, strict=True):
-            uncovered = int.from_bytes(row.astype("<u8").tobytes(), "little")
+            uncovered = row_int(row)
             assert uncovered.bit_count() == count
             leaves.append((tuple(walk._residue_choice(order, int(number))), uncovered))
         if leaf is not None:
@@ -526,17 +540,26 @@ def leaf_recorder(order: list[int], leaves: list, leaf=None):
     return record
 
 
-def record_walks(monkeypatch, module) -> list[tuple[list[int], dict, list[tuple[int, ...]]]]:
+def record_walks(monkeypatch, module) -> list[tuple[list[int], list, list[tuple[int, ...]]]]:
     """Replace module._residue_walk by the real walk run without its prune,
-    recording per call (order, masks, the choice of every leaf in the
-    order the walk meets them); with no prune every leaf is reached, and
-    the leaf callback still gets every block, so it keeps the result."""
+    recording per call (order, the (n, L, words) of every walk._multiples
+    call it makes, the choice of every leaf in the order the walk meets
+    them); with no prune every leaf is reached, and the leaf callback
+    still gets every block, so it keeps the result."""
     walks = []
+    multiples = walk._multiples
 
-    def spy(order, L, masks, leaf, prune=None):
-        leaves = []
-        walk._residue_walk(order, L, masks, leaf_recorder(order, leaves, leaf))
-        walks.append((order, masks, [choice for choice, _ in leaves]))
+    def spy(order, L, leaf, prune=None):
+        leaves, built = [], []
+
+        def record(n, period):
+            built.append((n, period, multiples(n, period)))
+            return built[-1][2]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(walk, "_multiples", record)
+            walk._residue_walk(order, L, leaf_recorder(order, leaves, leaf))
+        walks.append((order, built, [choice for choice, _ in leaves]))
 
     monkeypatch.setattr(module, "_residue_walk", spy)
     return walks

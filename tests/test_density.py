@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import coversieve as cs
 from coversieve import density, walk
@@ -22,6 +22,7 @@ from conftest import (
     full_walk_delta_minus,
     inline_components,
     leaf_recorder,
+    multiples_oracle,
     naive_ball_groups,
     naive_density,
     naive_greedy_peel,
@@ -30,6 +31,7 @@ from conftest import (
     period_scan,
     random_system,
     record_walks,
+    row_int,
     subset_delta_plus,
     unit_sum_distinct_sets,
     walk_widths,
@@ -581,7 +583,8 @@ class TestDeltaMinus:
         def no_masks(*args):
             raise AssertionError("masks built before the guard refused")
 
-        monkeypatch.setattr(density, "_class_masks", no_masks)
+        monkeypatch.setattr(walk, "_multiples", no_masks)
+        monkeypatch.setattr(density, "_residue_walk", no_masks)
         with pytest.raises(GuardExceeded, match="residue-choice space"):
             cs.delta_minus(cs.ModuliSet.from_iterable(range(2, 17)))
         with pytest.raises(GuardExceeded, match="class-mask period exceeds guard of 10000 bits"):
@@ -594,9 +597,13 @@ class TestDeltaMinus:
     def test_exhaustive_builds_one_mask_of_unique_largest(self, monkeypatch, mods, residues_of_9):
         walks = record_walks(monkeypatch, density)
         result = cs.delta_minus(cs.ModuliSet.from_iterable(mods))
-        [(order, masks, leaves)] = walks
-        # one unshifted mask per distinct modulus: the walk shifts each class
-        assert sorted(masks) == sorted(set(mods)) and all(m & 1 for m in masks.values())
+        [(order, built, leaves)] = walks
+        # one unshifted mask per distinct modulus, and the multiples of 1
+        # for the bits below L: the walk shifts each class
+        L = lcm(*mods)
+        assert sorted(n for n, _, _ in built) == sorted(set(mods) | {1})
+        assert all(period == L and row_int(words) == multiples_oracle(n, L)
+                   for n, period, words in built)
         tried = {choice[i] for choice in leaves for i, n in enumerate(order) if n == 9}
         assert tried == set(range(residues_of_9))
         assert result.value == min(
@@ -677,7 +684,7 @@ class TestDeltaMinus:
         def no_masks(*args):
             raise AssertionError("greedy peel built a class mask")
 
-        monkeypatch.setattr(density, "_class_masks", no_masks)
+        monkeypatch.setattr(walk, "_multiples", no_masks)
         monkeypatch.setattr(density, "_residue_walk", no_masks)
         S = cs.ModuliSet.from_iterable([1, 4, 6, 9, 6, 12])
         assert cs.delta_minus(S, "greedy") == naive_greedy_peel(S)
@@ -792,40 +799,70 @@ class TestPeel:
         assert pieces == [1, -(-n // density._chunk_width())]
 
 
+def _shift_cases():
+    """(n, L, residues) for walk._shifted: n | L, residues below n."""
+    return st.sampled_from([1, 2, 3, 64, 128, 192, 360, 999, 1000, 4160]).flatmap(
+        lambda L: st.tuples(
+            st.sampled_from([n for n in range(1, L + 1) if L % n == 0]), st.just(L),
+        )).flatmap(lambda nL: st.tuples(
+            st.just(nL[0]), st.just(nL[1]),
+            st.lists(st.integers(0, nL[0] - 1), min_size=1, max_size=12),
+        ))
+
+
 class TestClassMasks:
+    """walk._multiples and walk._shifted, the one builder of class rows,
+    against the bits of Python ints."""
+
     @pytest.mark.parametrize("L", [1, 360, 27720, 999000])
     def test_bits_are_the_multiples(self, L):
-        # bit x of the mask of n is set iff x = 0 (mod n), for x in [0, L)
+        # bit x of the words of n is set iff x = 0 (mod n), for x in [0, L)
         for n in sorted({n for n in (1, 2, 3, L // 2, L) if n and L % n == 0}):
-            period, masks = density._class_masks([n, L], L)
-            assert period == L and set(masks) == {n, L}
-            mask = masks[n]
-            assert mask >> L == 0
-            raw = np.frombuffer(mask.to_bytes((L + 7) // 8, "little"), np.uint8)
-            bits = np.unpackbits(raw, bitorder="little")[:L].astype(bool)
-            assert np.array_equal(bits, np.arange(L) % n == 0), (L, n)
+            words = walk._multiples(n, L)
+            assert words.dtype == np.uint64 and words.shape == (-(-L // 64),)
+            assert row_int(words) == multiples_oracle(n, L), (L, n)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_shift_cases())
+    # L a multiple of 64, and not; s = 0 with q >= 1
+    @example((96, 192, [64, 0, 95, 65]))
+    @example((1000, 1000, [64, 128, 0, 999, 640]))
+    # unsorted, the first and last q the same and a middle one apart
+    @example((72, 72, [2, 71, 5]))
+    @example((360, 360, [3, 200, 7, 70, 60]))
+    # one row of 15,610 words, wider than a block of _BLOCK_WORDS
+    @example((1000, 999_000, [999, 0, 64, 700, 65]))
+    def test_shifted_rows_match_int_oracle(self, case):
+        n, L, residues = case
+        base = walk._multiples(n, L)
+        rows = walk._shifted(base, np.array(residues, dtype=np.int64))
+        assert rows.dtype == np.uint64 and rows.shape == (len(residues), len(base))
+        assert [row_int(row) for row in rows] == [
+            sum(1 << x for x in range(r, L, n)) for r in residues]
+        # the sampler passes a strided column of uint64 draws
+        drawn = np.array([residues, residues], dtype=np.uint64).T
+        assert np.array_equal(walk._shifted(base, drawn[:, 1]), rows)
 
     def test_walk_tries_residues_below_gcd_with_earlier_lcm(self):
         order = [9, 9, 6, 6, 4]
-        L, masks = density._class_masks(order, 36)
+        L = lcm(*order)
         leaves = []
-        walk._residue_walk(order, L, masks, leaf_recorder(order, leaves))
+        walk._residue_walk(order, L, leaf_recorder(order, leaves))
         # 6 meets lcm(9, 9) = 9 in 3, then lcm(9, 6) = 18 in 6; 4 meets 18 in 2
         assert walk_widths([choice for choice, _ in leaves]) == [1, 9, 3, 6, 2]
         for choice, uncovered in leaves:
             covered = 0
             for n, r in zip(order, choice):
-                covered |= masks[n] << r
+                covered |= sum(1 << x for x in range(r, L, n))
             assert uncovered == (1 << L) - 1 & ~covered
         empty = []
-        walk._residue_walk([], 1, {}, leaf_recorder([], empty))
+        walk._residue_walk([], 1, leaf_recorder([], empty))
         assert empty == [((), 1)]
 
     def test_leaf_numbers_past_int64_stay_exact(self):
         # 2^64 leaves: follow only the last child of each block down to
         # the last leaf, numbered 2^64 - 1
         order = [2] * 65
-        L, masks = density._class_masks(order, None)
         leaves, numbers = [], []
 
         def all_but_last(i, counts):
@@ -834,7 +871,7 @@ class TestClassMasks:
         def leaf(rows, counts, index):
             numbers.extend(int(number) for number in index)
 
-        walk._residue_walk(order, L, masks, leaf_recorder(order, leaves, leaf), all_but_last)
+        walk._residue_walk(order, 2, leaf_recorder(order, leaves, leaf), all_but_last)
         assert numbers == [2**64 - 1]
         assert leaves == [((0,) + (1,) * 64, 0)]  # 0 and 1 mod 2 cover all
 

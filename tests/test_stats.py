@@ -14,8 +14,8 @@ from coversieve.core import GuardExceeded
 from coversieve.density import DEFAULT_CELL_GUARD
 
 from conftest import (
-    divisors_of, enumerate_residue_choices, naive_density, naive_moments, record_walks,
-    trialwise_moments, walk_pair_second_moment, walk_widths,
+    divisors_of, enumerate_residue_choices, multiples_oracle, naive_density, naive_moments,
+    record_walks, row_int, trialwise_moments, walk_pair_second_moment, walk_widths,
 )
 
 
@@ -305,23 +305,37 @@ class TestSampleMoments:
             assert scanned and max(scanned) < lcm(*mods)
 
     def test_builds_one_mask_per_modulus(self, monkeypatch):
-        # one table per component of two or more classes, over that
-        # component's lcm: {3, 9} over 9 and {4, 4, 10, 25} over 100; the
-        # singletons 1, 7 and 11 build none, nor does the period 69,300
+        # one base per distinct modulus of a component of two or more
+        # classes, over that component's lcm: {3, 9} over 9 and
+        # {4, 4, 10, 25} over 100; the singletons 1, 7 and 11 build none,
+        # nor does the period 69,300
         calls = []
-        build = stats._class_masks
+        build = stats._multiples
 
-        def spy(moduli, guard):
-            calls.append((sorted(moduli), build(moduli, guard)))
-            return calls[-1][1]
+        def spy(n, L):
+            calls.append((n, L, build(n, L)))
+            return calls[-1][2]
 
-        monkeypatch.setattr(stats, "_class_masks", spy)
+        monkeypatch.setattr(stats, "_multiples", spy)
         cs.sample_moments(M(1, 3, 4, 4, 7, 9, 10, 11, 25), 20)
-        assert sorted(moduli for moduli, _ in calls) == [[3, 9], [4, 4, 10, 25]]
-        for moduli, (L, masks) in calls:
-            assert L == lcm(*moduli)
-            assert sorted(masks) == sorted(set(moduli))
-            assert all(mask == sum(1 << x for x in range(0, L, n)) for n, mask in masks.items())
+        assert sorted((n, L) for n, L, _ in calls) == [
+            (3, 9), (4, 100), (9, 9), (10, 100), (25, 100)]
+        assert all(row_int(words) == multiples_oracle(n, L) for n, L, words in calls)
+
+    def test_blocks_bound_the_words_of_a_component(self, monkeypatch):
+        # {100000, 200000} is one component over 200,000 bits, 3,125 words
+        # a row: a block of at most _BLOCK_DRAWS words holds two trials
+        calls = []
+        draws = stats._draws
+        monkeypatch.setattr(stats, "_draws",
+                            lambda *a: calls.append(a[1:3]) or draws(*a))
+        mods = [100_000, 200_000]
+        rep = cs.sample_moments(M(*mods), 5, seed=3)
+        assert calls == [(0, 2), (2, 2), (4, 1)]
+        deltas = [cs.exact_density(cs.ResidueSystem.from_pairs(zip(mods, row))).value
+                  for row in _numpy_rows(3, 0, 5, mods)]
+        assert (rep.mean, rep.second_moment) == (
+            sum(deltas) / 5, sum(d * d for d in deltas) / 5)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(mods=_sample_multisets(), trials=st.sampled_from([1, 2, 7]),
@@ -460,14 +474,16 @@ class TestDraws:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(stats.np.random, "default_rng",
                           lambda entropy: drawn.append(entropy[1]) or default_rng(entropy))
-            assert stats._draws(seed, first, trials, mods) == expected
+            rows = stats._draws(seed, first, trials, mods)
+        assert rows.dtype == np.uint64 and rows.shape == (trials, len(mods))
+        assert rows.tolist() == expected
         assert sorted(drawn) == sorted(checked[:1] + must)
 
     @pytest.mark.parametrize("n", [2**31 + 5, 2**64 // 3 + 1])
     def test_rejections_are_redrawn(self, n):
         rejected = [t for t in range(60) if _rejects(5, t, [n])]
         assert 10 < len(rejected) < 50
-        assert stats._draws(5, 0, 60, [n]) == _numpy_rows(5, 0, 60, [n])
+        assert stats._draws(5, 0, 60, [n]).tolist() == _numpy_rows(5, 0, 60, [n])
 
     def test_sample_moments_draws_in_blocks(self, monkeypatch):
         # a block holds at most _BLOCK_DRAWS draws, so 1000 moduli take
